@@ -15,7 +15,6 @@ from .graphs import (
 from .linalg import (
     EigenDecomposition,
     centering_projector,
-    determinant,
     eigh,
     laplacian_pseudoinverse,
     pinv_kernel_u,

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecompositions, Laplacian
-pseudoinverses, determinants and centering projectors.
+pseudoinverses, centering projectors and index-subset validation.
 
 Everything operates on plain float64 numpy arrays.
 """
@@ -7,12 +7,16 @@ Everything operates on plain float64 numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricError,
+    DuplicateIndexError,
+    EmptySubsetError,
+    IndexOutOfRangeError,
     NoConvergenceError,
     NonFiniteEntryError,
     NonSquareError,
@@ -40,14 +44,27 @@ def symmetrize(a, rtol: float = 1e-12) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def ones(n: int) -> np.ndarray:
-    return np.ones(n)
+def check_subset(v: Sequence[int], n: int) -> list[int]:
+    """The indices of ``v`` as a list, requiring a non-empty subset of
+    [0, n) without repeats."""
+    idx = list(v)
+    if not idx:
+        raise EmptySubsetError("subset must be non-empty")
+    if len(set(idx)) != len(idx):
+        raise DuplicateIndexError(f"repeated index in {idx}")
+    for i in idx:
+        if not 0 <= i < n:
+            raise IndexOutOfRangeError(f"index {i} out of range for n={n}")
+    return idx
 
 
-def basis_vector(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+def squared_distances(gram: np.ndarray) -> np.ndarray:
+    """Squared distances g_ii + g_jj - 2 g_ij between the points whose Gram
+    matrix is ``gram``, with an exactly zero diagonal."""
+    d = np.diag(gram)
+    out = d[:, None] + d[None, :] - 2.0 * gram
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def centering_projector(n: int) -> np.ndarray:
@@ -121,24 +138,3 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     inv_vals = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, vals))
     pinv = (dec.eigenvectors * inv_vals) @ dec.eigenvectors.T
     return 0.5 * (pinv + pinv.T)
-
-
-def determinant(a) -> float:
-    """Determinant via LU with partial pivoting, tracking permutation parity."""
-    m = as_square_array(a).copy()
-    n = m.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if m[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            sign = -sign
-        pivot = m[k, k]
-        det *= pivot
-        if k + 1 < n:
-            factors = m[k + 1:, k] / pivot
-            m[k + 1:, k:] -= np.outer(factors, m[k, k:])
-    return sign * det

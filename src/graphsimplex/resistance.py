@@ -37,11 +37,7 @@ def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
 
 def resistance_matrix(q: LaplacianMatrix) -> np.ndarray:
     """Omega = zeta u^T + u zeta^T - 2 Q^dagger with zeta = diag(Q^dagger)."""
-    p = q.pinv
-    zeta = np.diag(p)
-    omega = zeta[:, None] + zeta[None, :] - 2.0 * p
-    np.fill_diagonal(omega, 0.0)
-    return omega
+    return linalg.squared_distances(q.pinv)
 
 
 @dataclass(frozen=True)
@@ -54,13 +50,18 @@ class FiedlerBlocks:
     radius: float
 
 
-def fiedler_blocks(q: LaplacianMatrix) -> FiedlerBlocks:
-    n = q.n
+def _blocks(m: np.ndarray, mdag: np.ndarray) -> FiedlerBlocks:
+    """Blocks of the identity for the Gram pair (M, M^dagger)."""
+    n = m.shape[0]
     u = np.ones(n)
-    zeta = np.diag(q.pinv).copy()
-    r = 0.5 * (q.matrix @ zeta) + u / n
+    zeta = np.diag(m).copy()
+    r = 0.5 * (mdag @ zeta) + u / n
     radius = float(np.sqrt(0.5 * zeta @ (r + u / n)))
     return FiedlerBlocks(zeta=zeta, r=r, radius=radius)
+
+
+def fiedler_blocks(q: LaplacianMatrix) -> FiedlerBlocks:
+    return _blocks(q.pinv, q.matrix)
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,12 @@ def verify_identity_general(pinv_gram, distances=None,
     """
     mdag = linalg.symmetrize(pinv_gram)
     m = linalg.pinv_kernel_u(mdag, tol)  # raises RankDeficientError
-    n = m.shape[0]
     if distances is None:
-        d = np.diag(m)
-        distances = d[:, None] + d[None, :] - 2.0 * m
-        np.fill_diagonal(distances, 0.0)
+        distances = linalg.squared_distances(m)
     else:
         distances = linalg.as_square_array(distances)
-    u = np.ones(n)
-    zeta = np.diag(m).copy()
-    r = 0.5 * (mdag @ zeta) + u / n
-    radius = float(np.sqrt(0.5 * zeta @ (r + u / n)))
-    return _identity_residual(distances, mdag, r, radius)
+    fb = _blocks(m, mdag)
+    return _identity_residual(distances, mdag, fb.r, fb.radius)
 
 
 def inverse_resistance_matrix(q: LaplacianMatrix) -> np.ndarray:

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
-    EmptySubsetError,
-    DuplicateIndexError,
     FaceTooSmallError,
     GraphSimplexError,
     IndexOutOfRangeError,
@@ -31,18 +28,6 @@ from .graphs import LaplacianMatrix
 from .resistance import resistance_matrix
 
 logger = logging.getLogger(__name__)
-
-
-def _check_keep(v: Sequence[int], n: int) -> list[int]:
-    idx = list(v)
-    if not idx:
-        raise EmptySubsetError("kept subset must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise DuplicateIndexError(f"repeated index in {idx}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} out of range for n={n}")
-    return idx
 
 
 def _canonicalize(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -70,25 +55,27 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
     ``keep``. Keeping every node returns Q unchanged.
 
     The eliminated block is positive definite for any valid Laplacian, so
-    it is inverted through a Cholesky factorization; a factorization
-    failure signals inconsistent input rather than a tolerance issue.
+    it is factored as L L^T and the update is X^T X with X = L^{-1} Q_VcV;
+    a factorization failure signals inconsistent input rather than a
+    tolerance issue.
     """
     m = np.asarray(q.matrix)
-    idx = _check_keep(keep, q.n)
+    idx = linalg.check_subset(keep, q.n)
     elim = [i for i in range(q.n) if i not in set(idx)]
     if not elim:
         return LaplacianMatrix(m[np.ix_(idx, idx)])
     q_vv = m[np.ix_(idx, idx)]
-    q_ve = m[np.ix_(idx, elim)]
+    q_ev = m[np.ix_(elim, idx)]
     q_ee = m[np.ix_(elim, elim)]
     try:
-        factor = scipy.linalg.cho_factor(q_ee)
-    except scipy.linalg.LinAlgError as exc:
+        ell = np.linalg.cholesky(q_ee)
+    except np.linalg.LinAlgError as exc:
         raise GraphSimplexError(
             "eliminated block is not positive definite; input is not a "
             "valid connected Laplacian"
         ) from exc
-    reduced = q_vv - q_ve @ scipy.linalg.cho_solve(factor, q_ve.T)
+    x = np.linalg.solve(ell, q_ev)
+    reduced = q_vv - x.T @ x
     return LaplacianMatrix(_canonicalize(reduced, tol))
 
 
@@ -114,7 +101,7 @@ def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int],
                    tol: Tolerances = DEFAULT) -> LaplacianMatrix:
     """The complementary route: (Q/V^c)^dagger is the centered submatrix of
     Q^dagger, so the reduction is its pseudoinverse."""
-    idx = _check_keep(keep, q.n)
+    idx = linalg.check_subset(keep, q.n)
     if len(idx) < 2:
         raise FaceTooSmallError("pseudoinverse route needs at least 2 kept nodes")
     k = len(idx)
@@ -143,8 +130,8 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
     """Verify the quotient property on W subseteq V: reducing straight to W
     equals reducing to V and then to W, and equals eliminating the nodes of
     N \\ W one at a time in a random (seeded) order."""
-    v_idx = _check_keep(v, q.n)
-    w_idx = _check_keep(w, q.n)
+    v_idx = linalg.check_subset(v, q.n)
+    w_idx = linalg.check_subset(w, q.n)
     if not set(w_idx) <= set(v_idx):
         raise SubsetViolationError("W must be a subset of V")
     if len(w_idx) < 2:
@@ -192,7 +179,7 @@ def check_resistance_preservation(q: LaplacianMatrix, keep: Sequence[int],
                                   tol: Tolerances = DEFAULT) -> PreservationReport:
     """Effective resistances between kept nodes must be unchanged by the
     reduction: Omega(Q/V^c)_ab = Omega(Q)_{V[a] V[b]}."""
-    idx = _check_keep(keep, q.n)
+    idx = linalg.check_subset(keep, q.n)
     if len(idx) < 2:
         raise FaceTooSmallError("need at least 2 kept nodes")
     reduced = schur_complement(q, idx, tol)

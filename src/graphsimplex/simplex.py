@@ -21,8 +21,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DegenerateDistanceMatrixError,
     DegenerateSimplexError,
-    DuplicateIndexError,
-    EmptySubsetError,
     FaceTooSmallError,
     IndexOutOfRangeError,
 )
@@ -45,11 +43,7 @@ class SimplexEmbedding:
         return self.vertices.mean(axis=1)
 
     def squared_distances(self) -> np.ndarray:
-        g = self.vertices.T @ self.vertices
-        sq = np.diag(g)
-        d = sq[:, None] + sq[None, :] - 2.0 * g
-        np.fill_diagonal(d, 0.0)
-        return d
+        return linalg.squared_distances(self.vertices.T @ self.vertices)
 
 
 @dataclass(frozen=True)
@@ -169,30 +163,18 @@ def is_hyperacute(gp: GramPair, tol: Tolerances = DEFAULT) -> bool:
     return not dihedral_angles(gp, tol).has_obtuse
 
 
-def _check_subset(v: Sequence[int], n: int) -> list[int]:
-    idx = list(v)
-    if not idx:
-        raise EmptySubsetError("vertex subset must be non-empty")
-    if len(set(idx)) != len(idx):
-        raise DuplicateIndexError(f"repeated index in {idx}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRangeError(f"index {i} out of range for n={n}")
-    return idx
-
-
 def face_distance(d, v: Sequence[int]) -> np.ndarray:
     """Squared-distance matrix of the face on the vertex subset ``v``:
     the corresponding submatrix, rows/columns in the order given."""
     m = linalg.as_square_array(d)
-    idx = _check_subset(v, m.shape[0])
+    idx = linalg.check_subset(v, m.shape[0])
     return m[np.ix_(idx, idx)].copy()
 
 
 def face_gram(gp: GramPair, v: Sequence[int], tol: Tolerances = DEFAULT) -> GramPair:
     """Canonical Gram pair of the face on ``v``: the centered submatrix
     of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v)."""
-    idx = _check_subset(v, gp.n)
+    idx = linalg.check_subset(v, gp.n)
     if len(idx) < 2:
         raise FaceTooSmallError("face Gram needs at least 2 vertices")
     k = len(idx)
@@ -229,6 +211,10 @@ def cayley_menger_volume(d) -> float:
     """Simplex volume from the bordered squared-distance determinant:
 
         vol^2 = (-1)^n det [[0, u^T], [u, D]] / ( ((n-1)!)^2 2^(n-1) ).
+
+    The determinant and the normalisation are taken in logs, so neither
+    overflows for large n; a squared volume at or below
+    1e-12 max(D)^(n-1) counts as degenerate.
     """
     m = linalg.as_square_array(d)
     n = m.shape[0]
@@ -236,12 +222,13 @@ def cayley_menger_volume(d) -> float:
     bordered[0, 1:] = 1.0
     bordered[1:, 0] = 1.0
     bordered[1:, 1:] = m
-    det = linalg.determinant(bordered)
-    vol2 = (-1.0) ** n * det / (math.factorial(n - 1) ** 2 * 2.0 ** (n - 1))
-    scale = max(float(np.abs(m).max()), np.finfo(float).tiny) ** (n - 1)
-    if vol2 <= 1e-12 * scale:
+    sign, log_det = np.linalg.slogdet(bordered)
+    sign *= (-1.0) ** n
+    log_vol2 = log_det - (2.0 * math.lgamma(n) + (n - 1) * math.log(2.0))
+    log_scale = (n - 1) * math.log(max(float(np.abs(m).max()), np.finfo(float).tiny))
+    if sign <= 0.0 or log_vol2 <= math.log(1e-12) + log_scale:
         raise DegenerateDistanceMatrixError(
-            f"squared volume {vol2:.3e} is not positive; "
-            "input is degenerate or not realizable"
+            f"squared volume {sign:+.0f} * exp({log_vol2:.6g}) is not above "
+            "1e-12 max(D)^(n-1); input is degenerate or not realizable"
         )
-    return math.sqrt(vol2)
+    return math.exp(0.5 * log_vol2)

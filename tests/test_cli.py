@@ -1,10 +1,17 @@
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphsimplex
 from graphsimplex.cli import main
+
+from oracles import random_graph
 
 PATH3 = "a b 1\nb c 1\n"
 TRIANGLE = "a b 1\nb c 1\na c 1\n"
@@ -138,6 +145,20 @@ class TestScalars:
         # equilateral with squared side 2/3: area = sqrt(3)/4 * (2/3)
         assert float(out) == pytest.approx(np.sqrt(3) / 6, rel=1e-9)
 
+    def test_volume_large_graph(self, capsys, monkeypatch, rng):
+        # a volume, or one typed error line; never an uncaught exception
+        g = random_graph(rng, n=200)
+        doc = "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
+                      for (i, j), w in zip(g.links, g.weights))
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, ["volume", "-"])
+        if code == 0:
+            assert math.isfinite(float(out)) and float(out) > 0.0
+        else:
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("graphsimplex: error:")
+
     def test_blocks_json(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["blocks", triangle_file, "--format", "json"])
         assert code == 0
@@ -162,3 +183,14 @@ class TestFailures:
         monkeypatch.setattr("sys.stdin", io.StringIO("a b -1\n"))
         code, _, err = run(capsys, ["resistance", "-"])
         assert code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(graphsimplex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import graphsimplex.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -6,11 +6,10 @@ from graphsimplex import linalg
 from graphsimplex.errors import (
     AsymmetricError,
     NonFiniteEntryError,
-    NonSquareError,
     RankDeficientError,
 )
 
-from oracles import complete_graph, determinant_cofactor, random_graph
+from oracles import complete_graph, random_graph
 
 
 class TestEigh:
@@ -94,37 +93,6 @@ class TestPinvKernelU:
         block = np.block([[k2, np.zeros((2, 2))], [np.zeros((2, 2)), k2]])
         with pytest.raises(RankDeficientError):
             gs.pinv_kernel_u(block)
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert gs.determinant(np.eye(4)) == pytest.approx(1.0)
-
-    def test_cofactor_by_hand(self):
-        # expansion along the first row gives 0 - 1(0-1) + 1(1-0) = 2
-        m = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], float)
-        assert gs.determinant(m) == pytest.approx(2.0, abs=1e-12)
-
-    def test_row_swap_negates(self, rng):
-        a = rng.standard_normal((5, 5))
-        swapped = a.copy()
-        swapped[[0, 3]] = swapped[[3, 0]]
-        assert gs.determinant(swapped) == pytest.approx(-gs.determinant(a), rel=1e-10)
-
-    def test_singular(self):
-        a = np.ones((3, 3))
-        assert gs.determinant(a) == pytest.approx(0.0, abs=1e-12)
-
-    def test_against_cofactor_corpus(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 5))
-            a = rng.standard_normal((n, n))
-            expected = determinant_cofactor(a)
-            assert gs.determinant(a) == pytest.approx(expected, rel=1e-10, abs=1e-14)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(NonSquareError):
-            gs.determinant(np.zeros((2, 3)))
 
 
 def test_centering_projector():

@@ -7,6 +7,7 @@ from graphsimplex.errors import (
     DuplicateIndexError,
     EmptySubsetError,
     FaceTooSmallError,
+    GraphSimplexError,
     IndexOutOfRangeError,
     SubsetViolationError,
     TooSmallError,
@@ -63,6 +64,13 @@ class TestSchurComplement:
             gs.schur_complement(q, [0, 0])
         with pytest.raises(IndexOutOfRangeError):
             gs.schur_complement(q, [0, 3])
+
+    def test_not_positive_definite_rejected(self):
+        # link a-b plus an isolated node c: eliminating {b, c} leaves a
+        # singular block, which no valid connected Laplacian has
+        q = gs.LaplacianMatrix(np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], float))
+        with pytest.raises(GraphSimplexError):
+            gs.schur_complement(q, [0])
 
 
 class TestKronReduceSingle:

@@ -15,7 +15,7 @@ from graphsimplex.errors import (
 )
 
 from conftest import connected_graphs
-from oracles import complete_graph, path_graph, random_graph
+from oracles import complete_graph, determinant_cofactor, path_graph, random_graph
 
 NONHYPERACUTE = 9.0 * np.array(
     [[7, 1, -4, -4], [1, 7, -4, -4], [-4, -4, 12, -4], [-4, -4, -4, 12]], float
@@ -259,6 +259,19 @@ class TestCayleyMengerVolume:
         perm = rng.permutation(6)
         vol_perm = gs.cayley_menger_volume(d[np.ix_(perm, perm)])
         assert vol_perm == pytest.approx(vol, rel=1e-10)
+
+    def test_against_cofactor_oracle(self, rng):
+        for n in range(2, 6):
+            for _ in range(5):
+                x = rng.standard_normal((n - 1, n))
+                diff = x[:, :, None] - x[:, None, :]
+                d = (diff**2).sum(axis=0)
+                bordered = np.ones((n + 1, n + 1))
+                bordered[0, 0] = 0.0
+                bordered[1:, 1:] = d
+                vol2 = ((-1.0) ** n * determinant_cofactor(bordered)
+                        / (math.factorial(n - 1) ** 2 * 2.0 ** (n - 1)))
+                assert gs.cayley_menger_volume(d) == pytest.approx(math.sqrt(vol2), rel=1e-9)
 
     def test_degenerate_rejected(self):
         # three collinear points at 0, 1, 2
