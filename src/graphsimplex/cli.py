@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         graph = _read_graph(args.input)
         q = build_laplacian(graph)
         return _COMMANDS[args.command](args, graph, q)
-    except (GraphSimplexError, OSError) as exc:
+    except (GraphSimplexError, OSError, UnicodeDecodeError) as exc:
         print(f"graphsimplex: error: {exc}", file=sys.stderr)
         return 2
 

@@ -300,16 +300,13 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
     m = linalg.as_square_array(a)
     n = m.shape[0]
     atol = report.tol_scale
-    links = []
-    weights = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = -0.5 * (m[i, j] + m[j, i])
-            if w > atol:
-                links.append((i, j))
-                weights.append(float(w))
+    i, j = np.triu_indices(n, 1)
+    w = -0.5 * (m[i, j] + m[j, i])
+    keep = w > atol
     return WeightedGraph(
-        tuple(str(k) for k in range(n)), tuple(links), tuple(weights)
+        tuple(str(k) for k in range(n)),
+        tuple(zip(i[keep].tolist(), j[keep].tolist())),
+        tuple(w[keep].tolist()),
     )
 
 

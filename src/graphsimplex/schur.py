@@ -38,15 +38,52 @@ def _canonicalize(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
     k = m.shape[0]
     if k == 1:
         return np.zeros((1, 1))
+    _canonicalize_in_place(m, tol)
+    return m
+
+
+def _canonicalize_in_place(m: np.ndarray, tol: Tolerances) -> None:
+    """The clamp and diagonal rebuild of ``_canonicalize``, done in place
+    on a symmetric matrix or a view into one."""
     scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
-    off = m - np.diag(np.diag(m))
-    clamped = int(np.count_nonzero((off > 0) & (off <= tol.clamp * scale)))
-    if clamped:
-        logger.debug("clamped %d tiny positive off-diagonal entries", clamped)
-        off[(off > 0) & (off <= tol.clamp * scale)] = 0.0
-    out = off.copy()
-    np.fill_diagonal(out, -off.sum(axis=1))
-    return out
+    np.fill_diagonal(m, 0.0)
+    # Off-diagonals of a Laplacian are <= 0, so one max() pass usually
+    # rules out any clamp without building the masks.
+    if m.max() > 0:
+        tiny = (m > 0) & (m <= tol.clamp * scale)
+        clamped = int(np.count_nonzero(tiny))
+        if clamped:
+            logger.debug("clamped %d tiny positive off-diagonal entries", clamped)
+            m[tiny] = 0.0
+    np.fill_diagonal(m, -m.sum(axis=1))
+
+
+def _eliminate_last(a: np.ndarray, tol: Tolerances) -> None:
+    """Eliminate the last node of the symmetric Laplacian ``a`` in place:
+    afterwards ``a[:-1, :-1]`` is the canonical Kron reduction and the last
+    row and column are stale."""
+    k = a.shape[0] - 1
+    col = a[:k, k]
+    core = a[:k, :k]
+    core -= np.outer(col, col) / a[k, k]
+    _canonicalize_in_place(core, tol)
+
+
+def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
+                        order: Sequence[int], tol: Tolerances) -> np.ndarray:
+    """Eliminate the nodes of ``order`` one at a time, first to last, in a
+    buffer holding W and then ``order`` reversed, so that each step drops
+    the last node of the leading block. Rows of the result follow W.
+
+    The buffer is symmetrized once up front (a no-op on a symmetric Q);
+    the steps then keep it exactly symmetric, as ``_canonicalize`` would.
+    """
+    perm = w_idx + list(order[::-1])
+    buf = np.asarray(q.matrix)[np.ix_(perm, perm)]
+    buf = 0.5 * (buf + buf.T)
+    for k in range(len(perm), len(w_idx), -1):
+        _eliminate_last(buf[:k, :k], tol)
+    return buf[:len(w_idx), :len(w_idx)]
 
 
 def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
@@ -61,7 +98,8 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
     """
     m = np.asarray(q.matrix)
     idx = linalg.check_subset(keep, q.n)
-    elim = [i for i in range(q.n) if i not in set(idx)]
+    kept = set(idx)
+    elim = [i for i in range(q.n) if i not in kept]
     if not elim:
         return LaplacianMatrix(m[np.ix_(idx, idx)])
     q_vv = m[np.ix_(idx, idx)]
@@ -88,13 +126,8 @@ def kron_reduce_single(q: LaplacianMatrix, node: int,
         raise TooSmallError("single-node elimination needs n >= 3")
     if not 0 <= node < n:
         raise IndexOutOfRangeError(f"node {node} out of range for n={n}")
-    m = np.asarray(q.matrix)
     rest = [i for i in range(n) if i != node]
-    qv = -m[rest, node]
-    dv = m[node, node]
-    core = m[np.ix_(rest, rest)] - np.diag(qv)  # Laplacian without the node
-    reduced = core + np.diag(qv) - np.outer(qv, qv) / dv
-    return LaplacianMatrix(_canonicalize(reduced, tol))
+    return LaplacianMatrix(_eliminate_in_order(q, rest, [node], tol))
 
 
 def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int],
@@ -129,10 +162,17 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
                    seed: int = 0, tol: Tolerances = DEFAULT) -> QuotientReport:
     """Verify the quotient property on W subseteq V: reducing straight to W
     equals reducing to V and then to W, and equals eliminating the nodes of
-    N \\ W one at a time in a random (seeded) order."""
+    N \\ W one at a time in a random (seeded) order.
+
+    The node-by-node route permutes Q once into a single n x n buffer and
+    eliminates in place, shrinking the leading block by one node per step,
+    so it allocates no new Laplacian per step.
+    """
     v_idx = linalg.check_subset(v, q.n)
     w_idx = linalg.check_subset(w, q.n)
-    if not set(w_idx) <= set(v_idx):
+    v_pos = {node: pos for pos, node in enumerate(v_idx)}
+    w_set = set(w_idx)
+    if not w_set <= v_pos.keys():
         raise SubsetViolationError("W must be a subset of V")
     if len(w_idx) < 2:
         raise FaceTooSmallError("W needs at least 2 nodes")
@@ -140,21 +180,14 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
     one_shot = schur_complement(q, w_idx, tol).matrix
 
     stage_one = schur_complement(q, v_idx, tol)
-    w_in_v = [v_idx.index(i) for i in w_idx]
+    w_in_v = [v_pos[i] for i in w_idx]
     staged = schur_complement(stage_one, w_in_v, tol).matrix
     staged_residual = float(np.abs(one_shot - staged).max())
 
     rng = np.random.default_rng(seed)
-    to_eliminate = [i for i in range(q.n) if i not in set(w_idx)]
+    to_eliminate = [i for i in range(q.n) if i not in w_set]
     order = tuple(int(i) for i in rng.permutation(to_eliminate))
-    current = q
-    remaining = list(range(q.n))
-    for node in order:
-        current = kron_reduce_single(current, remaining.index(node), tol)
-        remaining.remove(node)
-    # remaining now equals w_idx up to order; align columns
-    perm = [remaining.index(i) for i in w_idx]
-    incremental = current.matrix[np.ix_(perm, perm)]
+    incremental = _eliminate_in_order(q, w_idx, order, tol)
     incremental_residual = float(np.abs(one_shot - incremental).max())
 
     return QuotientReport(

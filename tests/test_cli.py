@@ -184,6 +184,15 @@ class TestFailures:
         code, _, err = run(capsys, ["resistance", "-"])
         assert code == 2
 
+    def test_undecodable_input(self, capsys, tmp_path):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"a b 1\n\xff c 1\n")
+        code, out, err = run(capsys, ["laplacian", str(path)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("graphsimplex: error:")
+
 
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(graphsimplex.__file__))

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import graphsimplex as gs
+from graphsimplex import resistance
+from graphsimplex.config import DEFAULT
 from graphsimplex.errors import (
     AsymmetricError,
     IndexOutOfRangeError,
@@ -16,6 +20,7 @@ from oracles import (
     Resistor,
     Series,
     complete_graph,
+    random_graph,
     random_sp_network,
     sp_document,
     sp_resistance,
@@ -193,6 +198,64 @@ class TestCheckMetric:
             gs.check_metric(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             gs.check_metric(np.zeros((2, 2)), mode="cubed")
+
+
+def full_tensor_metric(d, mode):
+    """(violations, worst_triple, worst_slack) from the whole n^3 deficit
+    tensor, the reference for the slab-wise check."""
+    m = np.sqrt(np.maximum(d, 0.0)) if mode == "sqrt" else d
+    slack = DEFAULT.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
+    deficit = m[:, None, :] - m[:, :, None] - m[None, :, :]
+    violations = int(np.count_nonzero(deficit > slack))
+    triple = None
+    if violations:
+        triple = tuple(int(x) for x in
+                       np.unravel_index(int(np.argmax(deficit)), deficit.shape))
+    return violations, triple, float(deficit.max())
+
+
+def metric_inputs(n, rng):
+    """A resistance matrix, a random symmetric matrix, and unit distances
+    with a few planted long pairs, whose worst deficit ties on many triples."""
+    if n >= 2:
+        yield gs.resistance_matrix(gs.build_laplacian(random_graph(rng, n=n)))
+    a = rng.uniform(0.1, 1.0, (n, n))
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    yield a
+    planted = np.ones((n, n))
+    np.fill_diagonal(planted, 0.0)
+    if n >= 3:
+        for _ in range(3):
+            i, k = rng.choice(n, size=2, replace=False)
+            planted[i, k] = planted[k, i] = 5.0
+    yield planted
+
+
+class TestCheckMetricSlabs:
+    @pytest.mark.parametrize("slab", [None, 1, 40, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40, 130])
+    def test_matches_full_tensor(self, n, slab, rng, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(resistance, "_SLAB_ENTRIES", slab)
+        for d in metric_inputs(n, rng):
+            for mode in ("plain", "sqrt"):
+                report = gs.check_metric(d, mode)
+                got = (report.violations, report.worst_triple, report.worst_slack)
+                assert got == full_tensor_metric(d, mode)
+
+    def test_memory_is_bounded(self):
+        points = np.random.default_rng(5).normal(size=(200, 3))
+        d = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+        tracemalloc.start()
+        try:
+            gs.check_metric(d, "plain")
+            gs.check_metric(d, "sqrt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full 200^3 deficit tensor alone is 64 MB
+        assert peak < 40e6
 
 
 @given(connected_graphs())

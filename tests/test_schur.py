@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import graphsimplex as gs
+from graphsimplex.config import DEFAULT
 from graphsimplex.errors import (
     DuplicateIndexError,
     EmptySubsetError,
@@ -12,6 +13,8 @@ from graphsimplex.errors import (
     SubsetViolationError,
     TooSmallError,
 )
+
+from graphsimplex.schur import _eliminate_in_order
 
 from conftest import connected_graphs
 from oracles import complete_graph, path_graph, random_graph, unit_graph
@@ -92,6 +95,42 @@ class TestKronReduceSingle:
             assert np.abs(single.matrix - block.matrix).max() <= 1e-12 * max(
                 1.0, np.abs(block.matrix).max())
 
+    def test_bitwise_equal_to_reference_formula(self, small_corpus):
+        # the dense formula and re-canonicalization that the in-place
+        # elimination replaced
+        def reference(m, node):
+            rest = [i for i in range(len(m)) if i != node]
+            qv = -m[rest, node]
+            core = m[np.ix_(rest, rest)] - np.diag(qv)
+            raw = core + np.diag(qv) - np.outer(qv, qv) / m[node, node]
+            sym = 0.5 * (raw + raw.T)
+            scale = max(float(np.abs(np.diag(sym)).max()), np.finfo(float).tiny)
+            off = sym - np.diag(np.diag(sym))
+            off[(off > 0) & (off <= DEFAULT.clamp * scale)] = 0.0
+            out = off.copy()
+            np.fill_diagonal(out, -off.sum(axis=1))
+            return out
+
+        for q in small_corpus:
+            if q.n < 3:
+                continue
+            for node in range(q.n):
+                got = gs.kron_reduce_single(q, node).matrix
+                assert np.array_equal(got, reference(q.matrix, node))
+
+    def test_asymmetric_input_gives_symmetric_result(self, rng):
+        # from_matrix accepts asymmetry within the validation tolerance; the
+        # reduction must still be an exactly symmetric Laplacian
+        m = gs.build_laplacian(random_graph(rng, n=12)).matrix.copy()
+        noise = np.triu(rng.normal(scale=1e-11, size=m.shape), 1)
+        m += noise
+        m -= np.diag(m.sum(axis=1))
+        q = gs.LaplacianMatrix.from_matrix(m)
+        assert not np.array_equal(q.matrix, q.matrix.T)
+        for node in range(q.n):
+            reduced = gs.kron_reduce_single(q, node).matrix
+            assert np.array_equal(reduced, reduced.T)
+
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             gs.kron_reduce_single(laplacian("a b 1"), 0)
@@ -159,6 +198,31 @@ class TestCheckQuotient:
         q = gs.build_laplacian(path_graph(4))
         with pytest.raises(SubsetViolationError):
             gs.check_quotient(q, [0, 1], [0, 3])
+
+    def test_incremental_matches_folded_single_eliminations(self, small_corpus, rng):
+        graphs = small_corpus + [gs.build_laplacian(random_graph(rng, n=60))]
+        for seed, q in enumerate(graphs):
+            if q.n < 4:
+                continue
+            v = sorted(rng.choice(q.n, size=int(rng.integers(3, q.n)),
+                                  replace=False).tolist())
+            w = sorted(rng.choice(v, size=int(rng.integers(2, len(v))),
+                                  replace=False).tolist())
+            report = gs.check_quotient(q, v, w, seed=seed)
+            complement = [i for i in range(q.n) if i not in w]
+            assert report.elimination_order == tuple(
+                np.random.default_rng(seed).permutation(complement))
+
+            folded, remaining = q, list(range(q.n))
+            for node in report.elimination_order:
+                folded = gs.kron_reduce_single(folded, remaining.index(node))
+                remaining.remove(node)
+            perm = [remaining.index(i) for i in w]
+            expected = folded.matrix[np.ix_(perm, perm)]
+            incremental = _eliminate_in_order(q, w, report.elimination_order, DEFAULT)
+            assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
+            one_shot = gs.schur_complement(q, w).matrix
+            assert report.incremental_residual == np.abs(one_shot - incremental).max()
 
 
 class TestResistancePreservation:
