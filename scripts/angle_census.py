@@ -12,7 +12,6 @@ Usage:
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import graphsimplex as gs
 from oracles import random_graph
+
+LABELS = gs.simplex.ANGLE_LABELS  # indexed by the angle codes
 
 
 def main() -> int:
@@ -31,18 +32,18 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    labels: Counter[str] = Counter()
+    counts = np.zeros(len(LABELS), dtype=int)
     sharpest = []
     for _ in range(args.graphs):
         q = gs.build_laplacian(random_graph(rng, max_n=args.max_nodes))
         cls = gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
-        labels.update(p.label for p in cls.pairs)
-        sharpest.append(min(p.cosine for p in cls.pairs))
+        i, j = np.triu_indices(cls.n, 1)
+        counts += np.bincount(cls.codes[i, j], minlength=len(LABELS))
+        sharpest.append(cls.cosines[i, j].min())
 
-    total = sum(labels.values())
+    total = int(counts.sum())
     print(f"corpus: {args.graphs} graphs, n <= {args.max_nodes}, seed {args.seed}")
-    for label in ("acute", "right", "obtuse"):
-        count = labels.get(label, 0)
+    for label, count in zip(LABELS, counts.tolist()):
         print(f"{label:7s} {count:8d}  ({100.0 * count / total:5.1f}%)")
     arr = np.array(sharpest)
     print(f"sharpest cosine per graph: median {np.median(arr):.4f}, min {arr.min():.4f}")

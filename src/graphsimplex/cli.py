@@ -63,12 +63,13 @@ def _read_graph(path: str) -> WeightedGraph:
 
 
 def _resolve_labels(g: WeightedGraph, spec: str) -> list[int]:
+    index = g.label_index
     idx = []
     for label in spec.split(","):
         label = label.strip()
-        if label not in g.labels:
+        if label not in index:
             raise UnknownLabelError(f"unknown node label {label!r}")
-        idx.append(g.index_of(label))
+        idx.append(index[label])
     return idx
 
 
@@ -102,20 +103,21 @@ def cmd_embed(args, g, q) -> int:
 def cmd_angles(args, g, q) -> int:
     gp = simplex.gram_pair_from_laplacian(q)
     cls = simplex.dihedral_angles(gp, _tolerances(args))
+    rows = cls.pair_rows()
     if args.format == "json":
+        names = [json.dumps(label) for label in g.labels]
         pairs = ", ".join(
             '{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'
-            % (json.dumps(g.labels[p.i]), json.dumps(g.labels[p.j]),
-               _fmt(p.cosine, JSON_DIGITS), p.label)
-            for p in cls.pairs
+            % (names[a], names[b], _fmt(c, JSON_DIGITS), label)
+            for a, b, c, label in rows
         )
         sys.stdout.write('{"pairs": [%s]}\n' % pairs)
     else:
-        for p in cls.pairs:
-            sys.stdout.write(
-                f"{g.labels[p.i]}\t{g.labels[p.j]}\t"
-                f"{_fmt(p.cosine, TSV_DIGITS)}\t{p.label}\n"
-            )
+        names = g.labels
+        sys.stdout.write("".join(
+            f"{names[a]}\t{names[b]}\t{_fmt(c, TSV_DIGITS)}\t{label}\n"
+            for a, b, c, label in rows
+        ))
     return 0
 
 
@@ -241,7 +243,8 @@ def main(argv=None) -> int:
         graph = _read_graph(args.input)
         q = build_laplacian(graph)
         return _COMMANDS[args.command](args, graph, q)
-    except (GraphSimplexError, OSError, UnicodeDecodeError) as exc:
+    except (GraphSimplexError, OSError, UnicodeDecodeError, OverflowError,
+            MemoryError) as exc:
         print(f"graphsimplex: error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DisconnectedError,
     EdgeListSyntaxError,
+    NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
     SelfLoopError,
@@ -68,14 +69,23 @@ class WeightedGraph:
 
     @property
     def degrees(self) -> np.ndarray:
+        """Sum of the link weights at each node, added link by link in
+        ``links`` order (``np.add.at`` applies repeated indices in turn)."""
         d = np.zeros(self.n)
-        for (i, j), w in zip(self.links, self.weights):
-            d[i] += w
-            d[j] += w
+        ends = np.array(self.links, dtype=np.intp).ravel()
+        np.add.at(d, ends, np.repeat(np.array(self.weights, dtype=float), 2))
         return d
 
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        return {label: k for k, label in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self.label_index[label]
+        except KeyError:
+            # same error type and message as labels.index(label)
+            raise ValueError("tuple.index(x): x not in tuple") from None
 
     def _is_connected(self) -> bool:
         # plain BFS over the link set; deliberately independent of any
@@ -278,13 +288,23 @@ def _irreducible(m: np.ndarray, atol: float) -> bool:
 
 
 def build_laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """Degrees on the diagonal, negated link weights off the diagonal."""
+    """Degrees on the diagonal, negated link weights off the diagonal.
+
+    Raises NonFiniteEntryError when a degree overflows the float range.
+    """
+    with np.errstate(over="ignore"):
+        d = g.degrees
+    if not np.isfinite(d).all():
+        k = int(np.argmin(np.isfinite(d)))
+        raise NonFiniteEntryError(
+            f"degree of node {g.labels[k]!r} overflows the float range"
+        )
+    i, j = np.array(g.links, dtype=np.intp).T
+    w = np.array(g.weights, dtype=float)
     q = np.zeros((g.n, g.n))
-    for (i, j), w in zip(g.links, g.weights):
-        q[i, j] -= w
-        q[j, i] -= w
-        q[i, i] += w
-        q[j, j] += w
+    q[i, j] = -w
+    q[j, i] = -w
+    np.fill_diagonal(q, d)
     return LaplacianMatrix(q)
 
 

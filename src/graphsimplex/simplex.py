@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,20 +115,45 @@ class PairAngle:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleClassification:
-    pairs: tuple[PairAngle, ...]
+    """Every dihedral angle of a Simplex, held as two read-only n x n arrays.
+
+    ``cosines[i, j]`` is cos(pi - phi_ij) and ``codes[i, j]`` indexes
+    ``ANGLE_LABELS`` (0 acute, 1 right, 2 obtuse). Only the off-diagonal
+    entries are angles; the diagonal codes are 1, so they never read as
+    obtuse.
+    """
+
+    cosines: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.codes.shape[0]
 
     def label(self, i: int, j: int) -> str:
         i, j = min(i, j), max(i, j)
-        for p in self.pairs:
-            if (p.i, p.j) == (i, j):
-                return p.label
-        raise IndexOutOfRangeError(f"no pair ({i}, {j})")
+        # array indexing would wrap negative indices, so check them here
+        if not 0 <= i < j < self.n:
+            raise IndexOutOfRangeError(f"no pair ({i}, {j})")
+        return ANGLE_LABELS[self.codes[i, j]]
 
     @property
     def has_obtuse(self) -> bool:
-        return any(p.label == "obtuse" for p in self.pairs)
+        return bool((self.codes == 2).any())
+
+    def pair_rows(self):
+        """An iterator of (i, j, cosine, label) for every i < j in row-major
+        order, as plain Python values."""
+        i, j = np.triu_indices(self.n, 1)
+        labels = [ANGLE_LABELS[k] for k in self.codes[i, j].tolist()]
+        return zip(i.tolist(), j.tolist(), self.cosines[i, j].tolist(), labels)
+
+    @cached_property
+    def pairs(self) -> tuple[PairAngle, ...]:
+        """One PairAngle per i < j in row-major order, built on first use."""
+        return tuple(PairAngle(*row) for row in self.pair_rows())
 
 
 def dihedral_angles(gp: GramPair, tol: Tolerances = DEFAULT) -> AngleClassification:
@@ -139,22 +165,18 @@ def dihedral_angles(gp: GramPair, tol: Tolerances = DEFAULT) -> AngleClassificat
     angles occur exactly (path graphs), so ties classify as right.
     """
     mdag = gp.pinv_gram
-    n = gp.n
     diag = np.diag(mdag)
     band = tol.validation * float(diag.max())
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = mdag[i, j]
-            cosine = float(entry / math.sqrt(diag[i] * diag[j]))
-            if entry > band:
-                label = "obtuse"
-            elif entry < -band:
-                label = "acute"
-            else:
-                label = "right"
-            pairs.append(PairAngle(i=i, j=j, cosine=cosine, label=label))
-    return AngleClassification(pairs=tuple(pairs))
+    cosines = np.outer(diag, diag)
+    np.sqrt(cosines, out=cosines)
+    np.divide(mdag, cosines, out=cosines)
+    codes = np.ones(mdag.shape, dtype=np.int8)
+    codes[mdag > band] = 2
+    codes[mdag < -band] = 0
+    np.fill_diagonal(codes, 1)
+    cosines.setflags(write=False)
+    codes.setflags(write=False)
+    return AngleClassification(cosines=cosines, codes=codes)
 
 
 def is_hyperacute(gp: GramPair, tol: Tolerances = DEFAULT) -> bool:

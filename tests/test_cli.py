@@ -203,3 +203,65 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+QUAD = 'a b 2\nb x"y 0.5\nx"y é 3\na é 1\nb é 0.25\n'
+
+ANGLES_GOLDEN = {
+    (PATH3, "tsv"):
+        "a\tb\t-0.707106781187\tacute\na\tc\t0\tright\nb\tc\t-0.707106781187\tacute\n",
+    (PATH3, "json"):
+        '{"pairs": [{"i": "a", "j": "b", "cosine": -0.70710678118654746, "label": "acute"}, '
+        '{"i": "a", "j": "c", "cosine": 0, "label": "right"}, '
+        '{"i": "b", "j": "c", "cosine": -0.70710678118654746, "label": "acute"}]}\n',
+    (TRIANGLE, "tsv"): "a\tb\t-0.5\tacute\na\tc\t-0.5\tacute\nb\tc\t-0.5\tacute\n",
+    (TRIANGLE, "json"):
+        '{"pairs": [{"i": "a", "j": "b", "cosine": -0.5, "label": "acute"}, '
+        '{"i": "a", "j": "c", "cosine": -0.5, "label": "acute"}, '
+        '{"i": "b", "j": "c", "cosine": -0.5, "label": "acute"}]}\n',
+    (QUAD, "tsv"):
+        'a\tb\t-0.696310623823\tacute\na\tx"y\t0\tright\n'
+        'a\té\t-0.280056016806\tacute\nb\tx"y\t-0.161164592805\tacute\n'
+        'b\té\t-0.0731272424127\tacute\nx"y\té\t-0.777844468263\tacute\n',
+    (QUAD, "json"):
+        '{"pairs": [{"i": "a", "j": "b", "cosine": -0.69631062382279141, "label": "acute"}, '
+        '{"i": "a", "j": "x\\"y", "cosine": 0, "label": "right"}, '
+        '{"i": "a", "j": "\\u00e9", "cosine": -0.28005601680560194, "label": "acute"}, '
+        '{"i": "b", "j": "x\\"y", "cosine": -0.16116459280507606, "label": "acute"}, '
+        '{"i": "b", "j": "\\u00e9", "cosine": -0.073127242412713067, "label": "acute"}, '
+        '{"i": "x\\"y", "j": "\\u00e9", "cosine": -0.77784446826259734, "label": "acute"}]}\n',
+}
+
+
+@pytest.mark.parametrize("doc, fmt", sorted(ANGLES_GOLDEN))
+def test_angles_golden_output(capsys, monkeypatch, doc, fmt):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, ["angles", "-", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == ANGLES_GOLDEN[doc, fmt]
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("graphsimplex: error:")
+
+
+class TestRangeErrors:
+    def test_degree_overflow(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1e308\nb c 1e308\na c 1e308\n"))
+        assert_one_error_line(*run(capsys, ["laplacian", "-"]))
+
+    def test_volume_overflow(self, capsys, monkeypatch):
+        doc = "a b 1e-250\nb c 1e-250\nc d 1e-250\na d 1e-250\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert_one_error_line(*run(capsys, ["volume", "-"]))
+
+    def test_memory_error(self, capsys, monkeypatch, path3_file):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr("graphsimplex.cli.build_laplacian", exhausted)
+        code, out, err = run(capsys, ["pinv", path3_file])
+        assert_one_error_line(code, out, err)
+        assert "cannot allocate" in err

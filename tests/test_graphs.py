@@ -8,6 +8,7 @@ import graphsimplex as gs
 from graphsimplex.errors import (
     DisconnectedError,
     EdgeListSyntaxError,
+    NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
     SelfLoopError,
@@ -175,3 +176,46 @@ def test_round_trip_and_validation_properties(g):
     g2 = gs.graph_from_laplacian(q.matrix)
     assert g2.links == g.links
     assert np.abs(np.array(g2.weights) - np.array(g.weights)).max() <= 1e-12
+
+
+def reference_laplacian(g):
+    """The per-link loop that built Laplacians before the vectorised form."""
+    q = np.zeros((g.n, g.n))
+    for (i, j), w in zip(g.links, g.weights):
+        q[i, j] -= w
+        q[j, i] -= w
+        q[i, i] += w
+        q[j, j] += w
+    return q
+
+
+class TestBuildLaplacianVectorised:
+    def test_bitwise_equal_to_reference_loop(self, rng):
+        graphs = [random_graph(rng, max_n=50) for _ in range(20)]
+        graphs += [random_graph(rng, n=1000), path_graph(7), complete_graph(6)]
+        for g in graphs:
+            q = gs.build_laplacian(g)
+            assert np.array_equal(q.matrix, reference_laplacian(g))
+            assert np.array_equal(g.degrees, np.diag(q.matrix))
+
+    def test_degree_overflow_rejected(self):
+        g = gs.parse_graph("a b 1e308\nb c 1e308\na c 1e308\n")
+        with pytest.raises(NonFiniteEntryError, match="'a'"):
+            gs.build_laplacian(g)
+
+    def test_largest_finite_degrees_accepted(self):
+        q = gs.build_laplacian(gs.parse_graph("a b 8e307\nb c 8e307\n"))
+        assert q.matrix[1, 1] == 1.6e308
+
+
+class TestLabelIndex:
+    def test_index_of_matches_tuple_index(self, rng):
+        g = random_graph(rng, n=40)
+        assert g.label_index == {label: k for k, label in enumerate(g.labels)}
+        for label in g.labels:
+            assert g.index_of(label) == g.labels.index(label)
+
+    def test_unknown_label(self):
+        g = gs.parse_graph("a b 1\nb c 1\n")
+        with pytest.raises(ValueError, match=r"^tuple.index\(x\): x not in tuple$"):
+            g.index_of("zzz")

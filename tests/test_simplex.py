@@ -288,3 +288,100 @@ def test_bijection_round_trip_property(g):
     scale = np.abs(q.matrix).max()
     assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-7 * scale
     assert gs.is_hyperacute(gp)
+
+
+def reference_angles(gp, tol=gs.DEFAULT):
+    """The per-pair loop that classified angles before the array form:
+    one (i, j, cosine, label) tuple per i < j, row-major."""
+    mdag = gp.pinv_gram
+    diag = np.diag(mdag)
+    band = tol.validation * float(diag.max())
+    pairs = []
+    for i in range(gp.n):
+        for j in range(i + 1, gp.n):
+            entry = mdag[i, j]
+            cosine = float(entry / math.sqrt(diag[i] * diag[j]))
+            if entry > band:
+                label = "obtuse"
+            elif entry < -band:
+                label = "acute"
+            else:
+                label = "right"
+            pairs.append((i, j, cosine, label))
+    return tuple(pairs)
+
+
+def band_gram():
+    """A pinv Gram whose off-diagonal entries sit on and just past the sign
+    dead-band, in both directions."""
+    m = np.diag([4.0, 3.0, 2.0, 1.0, 2.5])
+    band = gs.DEFAULT.validation * 4.0
+    entries = [band, -band, np.nextafter(band, np.inf), np.nextafter(-band, -np.inf),
+               0.0, -0.0, 0.5, -0.5, np.nextafter(band, 0.0), np.nextafter(-band, 0.0)]
+    i, j = np.triu_indices(5, 1)
+    m[i, j] = entries
+    m[j, i] = entries
+    return gs.GramPair(gram=np.zeros_like(m), pinv_gram=m)
+
+
+class TestAngleArrays:
+    def gram_pairs(self, small_corpus):
+        yield from (gs.gram_pair_from_laplacian(q) for q in small_corpus)
+        yield gs.gram_pair_from_laplacian(gs.build_laplacian(path_graph(6)))
+        yield gs.gram_pair_from_laplacian(
+            gs.build_laplacian(random_graph(np.random.default_rng(5), n=200)))
+        yield gs.gram_pair_from_pinv(NONHYPERACUTE)
+        yield band_gram()
+
+    def test_bitwise_equal_to_reference_loop(self, small_corpus):
+        for gp in self.gram_pairs(small_corpus):
+            cls = gs.dihedral_angles(gp)
+            for i, j, cosine, label in reference_angles(gp):
+                assert cls.cosines[i, j] == cosine
+                assert math.copysign(1.0, cls.cosines[i, j]) == math.copysign(1.0, cosine)
+                assert cls.cosines[j, i] == cosine
+                assert cls.label(i, j) == cls.label(j, i) == label
+            assert cls.cosines.dtype == np.float64 and cls.codes.dtype == np.int8
+
+    def test_pairs_view_equals_reference(self, small_corpus):
+        for gp in self.gram_pairs(small_corpus):
+            pairs = gs.dihedral_angles(gp).pairs
+            ref = reference_angles(gp)
+            assert len(pairs) == len(ref)
+            for p, (i, j, cosine, label) in zip(pairs, ref):
+                assert (p.i, p.j, p.cosine, p.label) == (i, j, cosine, label)
+                assert type(p.i) is int and type(p.cosine) is float
+
+    def test_dead_band_edges(self):
+        cls = gs.dihedral_angles(band_gram())
+        labels = [cls.label(i, j) for i, j in zip(*np.triu_indices(5, 1))]
+        assert labels == ["right", "right", "obtuse", "acute", "right", "right",
+                          "obtuse", "acute", "right", "right"]
+        assert cls.has_obtuse
+
+    def test_path_angles_are_exactly_right(self):
+        cls = gs.dihedral_angles(gs.gram_pair_from_laplacian(gs.build_laplacian(path_graph(6))))
+        for i, j in zip(*np.triu_indices(6, 1)):
+            assert cls.label(i, j) == ("acute" if j == i + 1 else "right")
+        assert not cls.has_obtuse
+
+    def test_pairs_built_only_on_request(self, small_corpus):
+        cls = gs.dihedral_angles(gs.gram_pair_from_laplacian(small_corpus[0]))
+        cls.has_obtuse
+        cls.label(0, 1)
+        assert "pairs" not in cls.__dict__
+        assert cls.pairs is cls.pairs
+        assert "pairs" in cls.__dict__
+
+    def test_arrays_are_read_only(self):
+        cls = gs.dihedral_angles(gs.gram_pair_from_pinv(NONHYPERACUTE))
+        with pytest.raises(ValueError):
+            cls.codes[0, 1] = 0
+        with pytest.raises(ValueError):
+            cls.cosines[0, 1] = 0.0
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (2, 2), (-1, 2), (0, -1), (0, 4), (4, 1), (9, 9)])
+    def test_label_rejects_bad_indices(self, i, j):
+        cls = gs.dihedral_angles(gs.gram_pair_from_pinv(NONHYPERACUTE))
+        with pytest.raises(IndexOutOfRangeError):
+            cls.label(i, j)
