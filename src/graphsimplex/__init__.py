@@ -14,7 +14,6 @@ from .graphs import (
 )
 from .linalg import (
     EigenDecomposition,
-    centering_projector,
     eigh,
     laplacian_pseudoinverse,
     pinv_kernel_u,

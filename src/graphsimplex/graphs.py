@@ -150,7 +150,8 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 class LaplacianMatrix:
-    """An n x n Laplacian with a cached pseudoinverse.
+    """An n x n Laplacian with a cached pseudoinverse and a cached
+    eigendecomposition, all held as read-only arrays.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
     Schur reductions); use ``from_matrix`` to validate arbitrary input.
@@ -171,7 +172,18 @@ class LaplacianMatrix:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        return linalg.laplacian_pseudoinverse(self.matrix)
+        p = linalg.laplacian_pseudoinverse(self.matrix)
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def spectrum(self) -> linalg.EigenDecomposition:
+        """Eigenvalues descending (the zero eigenvalue last) with matching
+        eigenvector columns; one decomposition serves every caller."""
+        dec = linalg.eigh(self.matrix)
+        dec.eigenvalues.setflags(write=False)
+        dec.eigenvectors.setflags(write=False)
+        return dec
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
@@ -247,7 +259,7 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
         "irreducible", _irreducible(m, atol), "BFS over off-diagonal support"
     )
 
-    sym = 0.5 * (m + m.T)
+    sym = linalg.symmetric_part(m)
     vals = np.linalg.eigvalsh(sym)
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = tol.zero_eigenvalue * mu_max
@@ -321,7 +333,7 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
     n = m.shape[0]
     atol = report.tol_scale
     i, j = np.triu_indices(n, 1)
-    w = -0.5 * (m[i, j] + m[j, i])
+    w = -linalg.symmetric_part(m)[i, j]
     keep = w > atol
     return WeightedGraph(
         tuple(str(k) for k in range(n)),
@@ -332,5 +344,4 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
 
 def spanning_tree_count(q: LaplacianMatrix) -> float:
     """Matrix-Tree count: product of the nonzero Laplacian eigenvalues over n."""
-    dec = linalg.eigh(q.matrix)
-    return float(np.prod(dec.eigenvalues[:-1]) / q.n)
+    return float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecompositions, Laplacian
-pseudoinverses, centering projectors and index-subset validation.
+pseudoinverses, double centering and index-subset validation.
 
 Everything operates on plain float64 numpy arrays.
 """
@@ -35,13 +35,20 @@ def as_square_array(a) -> np.ndarray:
     return m
 
 
+def symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2, exactly symmetric, formed as M/2 + M^T/2 so that it
+    cannot overflow for finite M."""
+    h = 0.5 * m
+    return h + h.T
+
+
 def symmetrize(a, rtol: float = 1e-12) -> np.ndarray:
     """Return (A + A^T)/2, requiring A to be symmetric within ``rtol``."""
     m = as_square_array(a)
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > rtol * scale:
         raise AsymmetricError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return symmetric_part(m)
 
 
 def check_subset(v: Sequence[int], n: int) -> list[int]:
@@ -67,9 +74,15 @@ def squared_distances(gram: np.ndarray) -> np.ndarray:
     return out
 
 
-def centering_projector(n: int) -> np.ndarray:
-    """The projector I - uu^T/n onto the subspace orthogonal to u."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def double_center(m: np.ndarray) -> np.ndarray:
+    """J M J with J = I - uu^T/n, for the symmetric part of M, in O(n^2):
+    subtract the row means from the rows and from the columns and add
+    back the grand mean. The result is exactly symmetric."""
+    out = symmetric_part(m)
+    means = out.mean(axis=1)
+    out -= np.add.outer(means, means)
+    out += means.mean()
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,8 @@ def eigh(a) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+    if not np.isfinite(vals).all():
+        raise NonFiniteEntryError("an eigenvalue overflows the float range")
     return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
@@ -115,8 +130,7 @@ def laplacian_pseudoinverse(q) -> np.ndarray:
         raise SingularShiftError(
             "shifted matrix is singular; input was not a valid Laplacian"
         ) from exc
-    pinv = inv - shift
-    return 0.5 * (pinv + pinv.T)
+    return symmetric_part(inv - shift)
 
 
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -136,5 +150,4 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
             f"expected exactly one zero eigenvalue, found {int(zero.sum())}"
         )
     inv_vals = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, vals))
-    pinv = (dec.eigenvectors * inv_vals) @ dec.eigenvectors.T
-    return 0.5 * (pinv + pinv.T)
+    return symmetric_part((dec.eigenvectors * inv_vals) @ dec.eigenvectors.T)

@@ -125,7 +125,7 @@ def inverse_resistance_matrix(q: LaplacianMatrix) -> np.ndarray:
     """Omega^{-1} = -1/2 (Q - r r^T / R^2), read off the block identity."""
     fb = fiedler_blocks(q)
     inv = -0.5 * (q.matrix - np.outer(fb.r, fb.r) / fb.radius**2)
-    return 0.5 * (inv + inv.T)
+    return linalg.symmetric_part(inv)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graphs import LaplacianMatrix
 from .resistance import resistance_matrix
+from .simplex import face_gram, gram_pair_from_laplacian
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +35,7 @@ def _canonicalize(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Restore exact Laplacian structure after rounding: symmetrize, clamp
     tiny positive off-diagonals to zero, and rebuild the diagonal from the
     off-diagonal row sums."""
-    m = 0.5 * (raw + raw.T)
+    m = linalg.symmetric_part(raw)
     k = m.shape[0]
     if k == 1:
         return np.zeros((1, 1))
@@ -80,7 +81,7 @@ def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
     """
     perm = w_idx + list(order[::-1])
     buf = np.asarray(q.matrix)[np.ix_(perm, perm)]
-    buf = 0.5 * (buf + buf.T)
+    buf = linalg.symmetric_part(buf)
     for k in range(len(perm), len(w_idx), -1):
         _eliminate_last(buf[:k, :k], tol)
     return buf[:len(w_idx), :len(w_idx)]
@@ -133,15 +134,10 @@ def kron_reduce_single(q: LaplacianMatrix, node: int,
 def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int],
                    tol: Tolerances = DEFAULT) -> LaplacianMatrix:
     """The complementary route: (Q/V^c)^dagger is the centered submatrix of
-    Q^dagger, so the reduction is its pseudoinverse."""
-    idx = linalg.check_subset(keep, q.n)
-    if len(idx) < 2:
-        raise FaceTooSmallError("pseudoinverse route needs at least 2 kept nodes")
-    k = len(idx)
-    j = linalg.centering_projector(k)
-    centered = j @ q.pinv[np.ix_(idx, idx)] @ j
-    reduced = linalg.pinv_kernel_u(0.5 * (centered + centered.T), tol)
-    return LaplacianMatrix(_canonicalize(reduced, tol))
+    Q^dagger, the Gram matrix of the face on V, so the reduction is that
+    face's pseudoinverse Gram."""
+    face = face_gram(gram_pair_from_laplacian(q), keep, tol)
+    return LaplacianMatrix(_canonicalize(face.pinv_gram, tol))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateDistanceMatrixError,
     DegenerateSimplexError,
     FaceTooSmallError,
+    GraphSimplexError,
     IndexOutOfRangeError,
 )
 from .graphs import LaplacianMatrix
@@ -66,7 +67,7 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     """Vertices (s_i)_k = (z_k)_i / sqrt(mu_k) over the nonzero eigenpairs,
     so that S^T S = Q^dagger and squared vertex distances equal the
     effective resistances."""
-    dec = linalg.eigh(q.matrix)
+    dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
     z = dec.eigenvectors[:, :-1]
     s = z.T / np.sqrt(mu)[:, None]
@@ -80,17 +81,19 @@ def canonical_gram(vertices, tol: Tolerances = DEFAULT) -> GramPair:
     s = np.asarray(getattr(vertices, "vertices", vertices), dtype=float)
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
-    n = s.shape[1]
-    j = linalg.centering_projector(n)
-    m = j @ (s.T @ s) @ j
-    m = 0.5 * (m + m.T)
     try:
-        pinv = linalg.pinv_kernel_u(m, tol)
-    except Exception as exc:
+        return _centered_pair(s.T @ s, tol)
+    except GraphSimplexError as exc:
         raise DegenerateSimplexError(
-            f"vertices are affinely dependent (rank < {n - 1})"
+            f"vertices are affinely dependent (rank < {s.shape[1] - 1})"
         ) from exc
-    return GramPair(gram=m, pinv_gram=pinv)
+
+
+def _centered_pair(gram: np.ndarray, tol: Tolerances) -> GramPair:
+    """Canonical Gram pair of the points with (uncentered) Gram matrix
+    ``gram``: the double-centered Gram and its pseudoinverse."""
+    m = linalg.double_center(gram)
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m, tol))
 
 
 def gram_pair_from_pinv(pinv_gram, tol: Tolerances = DEFAULT) -> GramPair:
@@ -199,12 +202,7 @@ def face_gram(gp: GramPair, v: Sequence[int], tol: Tolerances = DEFAULT) -> Gram
     idx = linalg.check_subset(v, gp.n)
     if len(idx) < 2:
         raise FaceTooSmallError("face Gram needs at least 2 vertices")
-    k = len(idx)
-    j = linalg.centering_projector(k)
-    m = j @ gp.gram[np.ix_(idx, idx)] @ j
-    m = 0.5 * (m + m.T)
-    pinv = linalg.pinv_kernel_u(m, tol)
-    return GramPair(gram=m, pinv_gram=pinv)
+    return _centered_pair(gp.gram[np.ix_(idx, idx)], tol)
 
 
 @dataclass(frozen=True)

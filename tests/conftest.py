@@ -12,6 +12,21 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigh, the one
+    eigensolver behind gs.eigh, during the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """Thirty random connected graphs (n <= 20) shared by property tests."""

@@ -257,6 +257,13 @@ class TestRangeErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert_one_error_line(*run(capsys, ["volume", "-"]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["spanning-trees", "embed", "volume"])
+    def test_eigenvalue_overflow(self, capsys, monkeypatch, command):
+        # finite degrees, but the largest eigenvalue (2.4e308) is not
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 8e307\nb c 8e307\n"))
+        assert_one_error_line(*run(capsys, [command, "-"]))
+
     def test_memory_error(self, capsys, monkeypatch, path3_file):
         def exhausted(*args):
             raise MemoryError("cannot allocate")
@@ -265,3 +272,21 @@ class TestRangeErrors:
         code, out, err = run(capsys, ["pinv", path3_file])
         assert_one_error_line(code, out, err)
         assert "cannot allocate" in err
+
+
+def test_volume_reads_the_shared_spectrum(capsys, monkeypatch, eigh_calls, rng):
+    built = []
+
+    def build(g):
+        built.append(graphsimplex.build_laplacian(g))
+        return built[-1]
+
+    monkeypatch.setattr("graphsimplex.cli.build_laplacian", build)
+    g = random_graph(rng, n=6)
+    doc = "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
+                  for (i, j), w in zip(g.links, g.weights))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, _ = run(capsys, ["volume", "-"])
+    assert code == 0 and float(out) > 0.0
+    assert eigh_calls == [(6, 6)]
+    assert "spectrum" in vars(built[0])

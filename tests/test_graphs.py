@@ -219,3 +219,32 @@ class TestLabelIndex:
         g = gs.parse_graph("a b 1\nb c 1\n")
         with pytest.raises(ValueError, match=r"^tuple.index\(x\): x not in tuple$"):
             g.index_of("zzz")
+
+
+class TestLaplacianCaches:
+    def test_pinv_is_read_only(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=6))
+        omega = gs.resistance_matrix(q)
+        with pytest.raises(ValueError):
+            q.pinv[0, 0] += 1
+        assert np.array_equal(gs.resistance_matrix(q), omega)
+
+    def test_spectrum_is_read_only(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=6))
+        with pytest.raises(ValueError):
+            q.spectrum.eigenvalues[0] = 1.0
+        with pytest.raises(ValueError):
+            q.spectrum.eigenvectors[0, 0] = 1.0
+
+    def test_spectrum_is_the_eigendecomposition(self, small_corpus):
+        for q in small_corpus[:10]:
+            dec = gs.eigh(q.matrix)
+            assert np.array_equal(q.spectrum.eigenvalues, dec.eigenvalues)
+            assert np.array_equal(q.spectrum.eigenvectors, dec.eigenvectors)
+
+    def test_embed_and_trees_share_one_eigh(self, eigh_calls, rng):
+        q = gs.build_laplacian(random_graph(rng, n=12))
+        gs.embed_from_laplacian(q)
+        gs.spanning_tree_count(q)
+        gs.embed_from_laplacian(q)
+        assert eigh_calls == [(12, 12)]

@@ -55,6 +55,11 @@ class TestEigh:
         with pytest.raises(NonFiniteEntryError):
             gs.eigh(np.array([[np.nan, 0], [0, 0]]))
 
+    def test_rejects_overflowing_eigenvalue(self):
+        # eigenvalues 3e308 and 0: the matrix is finite, its spectrum is not
+        with pytest.raises(NonFiniteEntryError):
+            gs.eigh(np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]]))
+
 
 class TestLaplacianPseudoinverse:
     def test_single_edge(self):
@@ -95,7 +100,36 @@ class TestPinvKernelU:
             gs.pinv_kernel_u(block)
 
 
-def test_centering_projector():
-    j = gs.centering_projector(4)
-    assert np.abs(j @ np.ones(4)).max() == 0.0
-    assert np.abs(j @ j - j).max() <= 1e-15
+class TestSymmetricPart:
+    def test_bitwise_equal_to_half_sum(self, rng):
+        for n in (1, 2, 7, 40):
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-200, 200)
+            assert np.array_equal(linalg.symmetric_part(m), 0.5 * (m + m.T))
+
+    def test_near_overflow_entries(self):
+        m = np.array([[1.6e308, -8e307], [-8e307, 8e307]])
+        with np.errstate(over="raise"):
+            assert np.array_equal(linalg.symmetrize(m), m)
+
+
+class TestDoubleCenter:
+    def test_matches_projector_formula(self, rng):
+        for n in (1, 2, 3, 10, 41):
+            j = np.eye(n) - np.full((n, n), 1.0 / n)
+            for m in (rng.standard_normal((n, n)), rng.random((n, n)) * 1e6):
+                sym = 0.5 * (m + m.T)
+                want = j @ sym @ j
+                got = linalg.double_center(m)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(m).max()
+
+    def test_exactly_symmetric_with_zero_row_sums(self, rng):
+        for n in (2, 5, 33):
+            got = linalg.double_center(rng.standard_normal((n, n)))
+            assert np.array_equal(got, got.T)
+            assert np.abs(got.sum(axis=1)).max() <= 1e-13
+
+    def test_leaves_input_unchanged(self, rng):
+        m = rng.standard_normal((6, 6))
+        before = m.copy()
+        linalg.double_center(m)
+        assert np.array_equal(m, before)

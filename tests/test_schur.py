@@ -14,7 +14,7 @@ from graphsimplex.errors import (
     TooSmallError,
 )
 
-from graphsimplex.schur import _eliminate_in_order
+from graphsimplex.schur import _canonicalize, _eliminate_in_order
 
 from conftest import connected_graphs
 from oracles import complete_graph, path_graph, random_graph, unit_graph
@@ -167,6 +167,19 @@ class TestSchurViaPinv:
         q = gs.build_laplacian(path_graph(3))
         with pytest.raises(FaceTooSmallError):
             gs.schur_via_pinv(q, [1])
+
+    def test_matches_projector_reference(self, small_corpus, rng):
+        # the route before it became the face Gram: the dense projector
+        # J = I - uu^T/k around the kept block of Q^dagger
+        for q in small_corpus:
+            k = int(rng.integers(2, q.n + 1))
+            keep = rng.choice(q.n, size=k, replace=False).tolist()
+            j = np.eye(k) - np.full((k, k), 1.0 / k)
+            centered = j @ q.pinv[np.ix_(keep, keep)] @ j
+            reduced = gs.pinv_kernel_u(0.5 * (centered + centered.T))
+            want = _canonicalize(reduced, DEFAULT)
+            got = gs.schur_via_pinv(q, keep).matrix
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCheckQuotient:

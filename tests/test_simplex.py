@@ -385,3 +385,38 @@ class TestAngleArrays:
         cls = gs.dihedral_angles(gs.gram_pair_from_pinv(NONHYPERACUTE))
         with pytest.raises(IndexOutOfRangeError):
             cls.label(i, j)
+
+
+def projector_pair(gram, tol=gs.DEFAULT):
+    """Centering by the dense projector J = I - uu^T/n, as done before the
+    O(n^2) double centering: the symmetrized J M J and its pseudoinverse."""
+    n = gram.shape[0]
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    m = j @ gram @ j
+    m = 0.5 * (m + m.T)
+    return m, gs.pinv_kernel_u(m, tol)
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestCenteredGramsMatchProjectorReference:
+    def test_canonical_gram(self, small_corpus):
+        for q in small_corpus:
+            s = gs.embed_from_laplacian(q).vertices
+            gp = gs.canonical_gram(s)
+            m, mdag = projector_pair(s.T @ s)
+            assert_close(gp.gram, m)
+            assert_close(gp.pinv_gram, mdag)
+            assert np.array_equal(gp.gram, gp.gram.T)
+
+    def test_face_gram(self, small_corpus, rng):
+        for q in small_corpus:
+            k = int(rng.integers(2, q.n + 1))
+            v = rng.choice(q.n, size=k, replace=False).tolist()
+            face = gs.face_gram(gs.gram_pair_from_laplacian(q), v)
+            m, mdag = projector_pair(q.pinv[np.ix_(v, v)])
+            assert_close(face.gram, m)
+            assert_close(face.pinv_gram, mdag)
+            assert np.array_equal(face.gram, face.gram.T)
