@@ -33,19 +33,18 @@ def _fmt(value: float, digits: int) -> str:
     return format(float(value), f".{digits}g")
 
 
+# one %-template per row: "%.12g" % v prints exactly what _fmt(v, 12) does
 def _matrix_tsv(labels, matrix) -> str:
-    lines = ["\t".join(labels)]
-    for row in np.atleast_2d(matrix):
-        lines.append("\t".join(_fmt(v, TSV_DIGITS) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = np.atleast_2d(matrix).tolist()
+    row = "\t".join([f"%.{TSV_DIGITS}g"] * len(rows[0]))
+    return "\n".join(["\t".join(labels)] + [row % tuple(r) for r in rows]) + "\n"
 
 
 def _matrix_json(labels, matrix) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(_fmt(v, JSON_DIGITS) for v in row) + "]"
-        for row in np.atleast_2d(matrix)
-    )
-    return '{"labels": %s, "rows": [%s]}\n' % (json.dumps(list(labels)), rows)
+    rows = np.atleast_2d(matrix).tolist()
+    row = "[" + ", ".join([f"%.{JSON_DIGITS}g"] * len(rows[0])) + "]"
+    body = ", ".join(row % tuple(r) for r in rows)
+    return '{"labels": %s, "rows": [%s]}\n' % (json.dumps(list(labels)), body)
 
 
 def _emit_matrix(args, labels, matrix) -> None:

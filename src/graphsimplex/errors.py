@@ -67,10 +67,6 @@ class NoConvergenceError(GraphSimplexError):
     """Eigensolver failed to converge."""
 
 
-class SingularShiftError(GraphSimplexError):
-    """Rank-one shifted Laplacian was numerically singular."""
-
-
 class RankDeficientError(GraphSimplexError):
     """More than one zero eigenvalue where exactly one was expected."""
 

@@ -172,15 +172,16 @@ class LaplacianMatrix:
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        p = linalg.laplacian_pseudoinverse(self.matrix)
+        """Q^dagger = S^T S, read off ``spectrum`` without its last pair."""
+        p = linalg.deflated_inverse(self.spectrum, -1)
         p.setflags(write=False)
         return p
 
     @cached_property
     def spectrum(self) -> linalg.EigenDecomposition:
-        """Eigenvalues descending (the zero eigenvalue last) with matching
-        eigenvector columns; one decomposition serves every caller."""
-        dec = linalg.eigh(self.matrix)
+        """Eigenpairs of the symmetric part (``from_matrix`` admits a small
+        asymmetry), descending with the zero last; shared by every caller."""
+        dec = linalg.eigh(linalg.symmetric_part(self.matrix))
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
         return dec
@@ -260,12 +261,16 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
     )
 
     sym = linalg.symmetric_part(m)
-    vals = np.linalg.eigvalsh(sym)
+    # exact power-of-two scaling: no eigenvalue overflows, no verdict changes
+    e = np.frexp(np.abs(sym).max())[1]
+    vals = np.linalg.eigvalsh(np.ldexp(sym, -e))
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = tol.zero_eigenvalue * mu_max
     min_val = float(vals.min())
+    with np.errstate(over="ignore"):  # reported in the input's units
+        detail = f"min eigenvalue = {np.ldexp(min_val, e):.3e}"
     checks["positive_semidefinite"] = PropertyCheck(
-        "positive_semidefinite", min_val >= -zero_cut, f"min eigenvalue = {min_val:.3e}"
+        "positive_semidefinite", min_val >= -zero_cut, detail
     )
     n_zero = int(np.sum(np.abs(vals) <= zero_cut))
     checks["single_zero_eigenvalue"] = PropertyCheck(

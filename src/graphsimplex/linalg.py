@@ -21,7 +21,6 @@ from .errors import (
     NonFiniteEntryError,
     NonSquareError,
     RankDeficientError,
-    SingularShiftError,
 )
 
 
@@ -115,22 +114,22 @@ def eigh(a) -> EigenDecomposition:
     return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def laplacian_pseudoinverse(q) -> np.ndarray:
-    """Pseudoinverse of a Laplacian via the rank-one shift.
+def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
+    """Z diag(1/mu) Z^T over the eigenpairs of ``dec`` but the one at index
+    ``zero``, the kernel; NonFiniteEntryError if an entry overflows."""
+    mu = dec.eigenvalues.copy()
+    mu[zero] = np.inf  # 1/inf = 0 drops the pair
+    z = dec.eigenvectors
+    with np.errstate(all="ignore"):
+        p = symmetric_part((z * (1.0 / mu)) @ z.T)
+    if not np.isfinite(p).all():
+        raise NonFiniteEntryError("the pseudoinverse overflows the float range")
+    return p
 
-    Q^dagger = (Q + uu^T/n)^{-1} - uu^T/n.  Exact when the kernel of Q is
-    spanned by the constant vector, which Laplacian validation guarantees.
-    """
-    m = as_square_array(q)
-    n = m.shape[0]
-    shift = np.full((n, n), 1.0 / n)
-    try:
-        inv = np.linalg.solve(m + shift, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularShiftError(
-            "shifted matrix is singular; input was not a valid Laplacian"
-        ) from exc
-    return symmetric_part(inv - shift)
+
+def laplacian_pseudoinverse(q) -> np.ndarray:
+    """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair deflated."""
+    return deflated_inverse(eigh(symmetric_part(as_square_array(q))), -1)
 
 
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -149,5 +148,4 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
         raise RankDeficientError(
             f"expected exactly one zero eigenvalue, found {int(zero.sum())}"
         )
-    inv_vals = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, vals))
-    return symmetric_part((dec.eigenvectors * inv_vals) @ dec.eigenvectors.T)
+    return deflated_inverse(dec, int(np.argmax(zero)))

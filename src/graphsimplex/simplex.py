@@ -167,7 +167,9 @@ def dihedral_angles(gp: GramPair, tol: Tolerances = DEFAULT) -> AngleClassificat
     The sign dead-band is relative to the largest diagonal entry; right
     angles occur exactly (path graphs), so ties classify as right.
     """
-    mdag = gp.pinv_gram
+    # an exact power of two brings the diagonal near 1: the outer product
+    # cannot overflow or underflow, and normal-range results are unchanged
+    mdag = np.ldexp(gp.pinv_gram, -np.frexp(np.diag(gp.pinv_gram).max())[1])
     diag = np.diag(mdag)
     band = tol.validation * float(diag.max())
     cosines = np.outer(diag, diag)

@@ -248,3 +248,53 @@ class TestLaplacianCaches:
         gs.spanning_tree_count(q)
         gs.embed_from_laplacian(q)
         assert eigh_calls == [(12, 12)]
+
+
+class TestAcceptedAsymmetry:
+    def test_pinv_and_embedding_are_those_of_the_symmetric_part(self, rng):
+        # from_matrix accepts asymmetry within the validation tolerance;
+        # the shared spectrum must accept the same matrices
+        m = gs.build_laplacian(random_graph(rng, n=12)).matrix.copy()
+        m += np.triu(rng.normal(scale=1e-11, size=m.shape), 1)
+        m -= np.diag(m.sum(axis=1))
+        q = gs.LaplacianMatrix.from_matrix(m)
+        sym = gs.LaplacianMatrix(0.5 * (m + m.T))
+        assert np.array_equal(q.pinv, sym.pinv)
+        assert np.array_equal(gs.laplacian_pseudoinverse(m), sym.pinv)
+        assert np.array_equal(gs.embed_from_laplacian(q).vertices,
+                              gs.embed_from_laplacian(sym).vertices)
+
+
+def reference_spectral_checks(m, tol=gs.DEFAULT):
+    """The unscaled spectral checks validate_laplacian ran before it scaled
+    the matrix: (passed, detail) of the two eigenvalue properties."""
+    vals = np.linalg.eigvalsh(0.5 * (m + m.T))
+    zero_cut = tol.zero_eigenvalue * max(float(np.abs(vals).max()), np.finfo(float).tiny)
+    min_val = float(vals.min())
+    n_zero = int(np.sum(np.abs(vals) <= zero_cut))
+    return {
+        "positive_semidefinite": (min_val >= -zero_cut, f"min eigenvalue = {min_val:.3e}"),
+        "single_zero_eigenvalue": (n_zero == 1, f"{n_zero} zero eigenvalues"),
+    }
+
+
+class TestScaleFreeValidation:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_spectrum_is_consistent(self):
+        # finite entries, but the largest eigenvalue (2.4e308) is not
+        q = gs.build_laplacian(gs.parse_graph("a b 8e307\nb c 8e307\n"))
+        report = gs.validate_laplacian(q.matrix)
+        assert report.passed and report.spectral_passed and report.consistent
+        assert report.checks["single_zero_eigenvalue"].detail == "1 zero eigenvalues"
+
+    def test_matches_unscaled_reference(self, small_corpus, rng):
+        k2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        specimens = [q.matrix for q in small_corpus] + [
+            NONHYPERACUTE, np.block([[k2, np.zeros((2, 2))], [np.zeros((2, 2)), k2]])]
+        for _ in range(20):
+            a = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-5, 6)
+            specimens.append(a + a.T)
+        for m in specimens:
+            report = gs.validate_laplacian(m)
+            for name, (passed, detail) in reference_spectral_checks(m).items():
+                assert (report.checks[name].passed, report.checks[name].detail) == (passed, detail)

@@ -133,3 +133,44 @@ class TestDoubleCenter:
         before = m.copy()
         linalg.double_center(m)
         assert np.array_equal(m, before)
+
+
+class TestOnePseudoinverseRoute:
+    def test_every_laplacian_answer_reads_one_eigh(self, monkeypatch, eigh_calls, rng):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        q = gs.build_laplacian(random_graph(rng, n=9))
+        gs.resistance_matrix(q)
+        gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
+        gs.verify_fiedler_identity(q)
+        gs.embed_from_laplacian(q)
+        gs.spanning_tree_count(q)
+        assert eigh_calls == [(9, 9)]
+
+    def test_pinv_is_the_gram_of_the_embedding(self, small_corpus):
+        for q in small_corpus:
+            s = gs.embed_from_laplacian(q).vertices
+            assert np.abs(q.pinv - s.T @ s).max() <= 1e-13 * np.abs(q.pinv).max()
+            assert np.array_equal(gs.laplacian_pseudoinverse(q.matrix), q.pinv)
+
+    def test_deflates_the_pair_it_is_given(self, rng):
+        # an indefinite matrix with kernel span{u}: its zero eigenvalue sits
+        # in the middle of the descending spectrum
+        n = 6
+        basis, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+        m = (basis * [0.0, 3.0, 2.0, -1.0, -2.0, -5.0]) @ basis.T
+        got = gs.pinv_kernel_u(m)
+        assert np.abs(got - np.linalg.pinv(m)).max() <= 1e-12
+        dec = gs.eigh(m)
+        assert np.array_equal(linalg.deflated_inverse(dec, 2), got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_pseudoinverse_rejected(self):
+        # eigenvalues 3e-310 and 1e-310: Q^dagger has entries near 1e309
+        q = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\n"))
+        with pytest.raises(NonFiniteEntryError):
+            q.pinv
+        with pytest.raises(NonFiniteEntryError):
+            gs.laplacian_pseudoinverse(q.matrix)

@@ -266,3 +266,16 @@ def test_metric_and_identity_properties(g):
     assert gs.check_metric(omega, "plain").passed
     assert gs.check_metric(omega, "sqrt").passed
     assert gs.verify_fiedler_identity(q).residual <= 1e-8
+
+
+def test_resistance_matches_networkx(small_corpus):
+    nx = pytest.importorskip("networkx")
+    for q in small_corpus:
+        g = nx.Graph()
+        i, j = np.nonzero(np.triu(q.matrix, 1))
+        g.add_weighted_edges_from(
+            (a, b, -q.matrix[a, b]) for a, b in zip(i.tolist(), j.tolist()))
+        ref = nx.resistance_distance(g, weight="weight", invert_weight=False)
+        want = np.array([[ref[a][b] for b in range(q.n)] for a in range(q.n)])
+        got = gs.resistance_matrix(q)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
