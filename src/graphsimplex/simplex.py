@@ -25,6 +25,7 @@ from .errors import (
     FaceTooSmallError,
     GraphSimplexError,
     IndexOutOfRangeError,
+    NonFiniteEntryError,
 )
 from .graphs import LaplacianMatrix
 from .resistance import FiedlerBlocks
@@ -45,7 +46,13 @@ class SimplexEmbedding:
         return self.vertices.mean(axis=1)
 
     def squared_distances(self) -> np.ndarray:
-        return linalg.squared_distances(self.vertices.T @ self.vertices)
+        """NonFiniteEntryError when a distance overflows, as the vertices of
+        a graph with weights near 1e-320 can."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = linalg.squared_distances(self.vertices.T @ self.vertices)
+        if not np.isfinite(d).all():
+            raise NonFiniteEntryError("a squared distance overflows the float range")
+        return d
 
 
 @dataclass(frozen=True)

@@ -259,6 +259,11 @@ class TestRangeErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert_one_error_line(*run(capsys, ["volume", "-"]))
 
+    def test_squared_distance_overflow(self, capsys, monkeypatch):
+        # the vertices (+-5e159) are finite, the squared edge length is not
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1e-320\n"))
+        assert_one_error_line(*run(capsys, ["volume", "-"]))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["spanning-trees", "embed", "volume"])
     def test_eigenvalue_overflow(self, capsys, monkeypatch, command):
@@ -359,3 +364,49 @@ def test_extreme_scales_without_warnings(name, command):
         assert re.search(r"\b(inf|nan)\b", result.stdout) is None, result.stdout
     else:
         assert_one_error_line(result.returncode, result.stdout, result.stderr)
+
+
+# Seeded fuzz through main(argv): every subcommand must print a finite
+# answer with exit 0 or exit 2 with one error line; any RuntimeWarning fails
+# the test (pyproject turns it into an error). A soup document has one
+# positive weight spelling, so its graphs are never mixed-scale; its other
+# lines hold 1, 2 or 4 tokens, or start with '#', and so add no links, so
+# every label is one of FUZZ_LABELS and "inf"/"nan" in stdout is a value.
+FUZZ_LABELS = ["0", "1", "2", "3"]
+FUZZ_WEIGHTS = ["1", "2.5", "1e308", "1e-320"]
+FUZZ_NOISE = ["nan", "inf", "1e308", "1e-320", "#", "\xff"]
+FUZZ_SPACE = [" ", "\t", "  ", " \t "]
+FUZZ_CASES = [("soup", k) for k in range(24)] + [("bytes", k) for k in range(16)]
+
+
+def soup_document(rng):
+    weight = str(rng.choice(FUZZ_WEIGHTS))
+    vocab = FUZZ_LABELS + FUZZ_NOISE + [weight]
+    lines = []
+    for _ in range(int(rng.integers(1, 9))):
+        if rng.random() < 0.75:
+            tokens = [str(t) for t in rng.choice(FUZZ_LABELS, size=2, replace=False)]
+            tokens.append(weight if rng.random() < 0.9 else str(rng.choice(FUZZ_NOISE)))
+        else:
+            tokens = [str(t) for t in rng.choice(vocab, size=int(rng.choice([1, 2, 4])))]
+            if rng.random() < 0.6:
+                tokens[0] = "#" + tokens[0]
+        spaces = rng.choice(FUZZ_SPACE, size=len(tokens) + 1)
+        lines.append(str(spaces[0]) + "".join(t + str(s) for t, s in zip(tokens, spaces[1:])))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("kind, k", FUZZ_CASES)
+def test_fuzz_inputs(capsys, tmp_path, kind, k):
+    rng = np.random.default_rng([kind == "bytes", k])
+    doc = soup_document(rng) if kind == "soup" else rng.bytes(int(rng.integers(1, 200)))
+    path = tmp_path / "fuzz.el"
+    path.write_bytes(doc)
+    for command in cli._COMMANDS:
+        extra = ["--keep", "0,1"] if command == "reduce" else []
+        code, out, err = run(capsys, [command, str(path), *extra])
+        if code == 0:
+            assert out and err == "", (command, doc)
+            assert re.search(r"\b(inf|nan)\b", out) is None, (command, doc, out)
+        else:
+            assert_one_error_line(code, out, err)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ def reference_spectral_checks(m, tol=gs.DEFAULT):
     }
 
 
+def reference_sum_checks(m, tol=gs.DEFAULT):
+    """The unscaled difference and sum checks validate_laplacian ran before
+    it scaled the matrix: (passed, detail) of the three properties."""
+    atol = tol.validation * max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
+    sym_err = float(np.abs(m - m.T).max())
+    row_err = float(np.abs(m.sum(axis=1)).max())
+    col_err = float(np.abs(m.sum(axis=0)).max())
+    ker_err = float(np.abs(0.5 * (m + m.T) @ np.ones(len(m))).max())
+    return {
+        "symmetric": (sym_err <= atol, f"max |A - A^T| = {sym_err:.3e}"),
+        "zero_row_sums": (max(row_err, col_err) <= atol,
+                          f"max |row sum| = {row_err:.3e}, max |col sum| = {col_err:.3e}"),
+        "constant_kernel": (ker_err <= atol, f"|A u|_inf = {ker_err:.3e}"),
+    }
+
+
 class TestScaleFreeValidation:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_spectrum_is_consistent(self):
@@ -297,4 +314,27 @@ class TestScaleFreeValidation:
         for m in specimens:
             report = gs.validate_laplacian(m)
             for name, (passed, detail) in reference_spectral_checks(m).items():
+                assert (report.checks[name].passed, report.checks[name].detail) == (passed, detail)
+
+    def test_sums_near_the_float_limit_do_not_overflow(self):
+        # finite entries whose row sums, A - A^T and A u are not
+        antisymmetric = np.zeros((3, 3))
+        antisymmetric[0, 1:] = 1.7e308
+        antisymmetric[1:, 0] = -1.7e308
+        for m in (np.full((3, 3), -1.7e308), antisymmetric):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = gs.validate_laplacian(m)
+            assert not report.passed and not report.spectral_passed
+            assert not report.checks["zero_row_sums"].passed
+        assert report.checks["symmetric"].detail == "max |A - A^T| = inf"
+
+    def test_sums_match_unscaled_reference(self, small_corpus, rng):
+        specimens = [q.matrix for q in small_corpus] + [NONHYPERACUTE]
+        for _ in range(20):
+            a = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-5, 6)
+            specimens += [a + a.T, a]
+        for m in specimens:
+            report = gs.validate_laplacian(m)
+            for name, (passed, detail) in reference_sum_checks(m).items():
                 assert (report.checks[name].passed, report.checks[name].detail) == (passed, detail)

@@ -14,7 +14,7 @@ from graphsimplex.errors import (
     TooSmallError,
 )
 
-from graphsimplex.schur import _canonicalize, _eliminate_in_order
+from graphsimplex.schur import _PANEL, _canonicalize, _eliminate_in_order
 
 from conftest import connected_graphs
 from oracles import complete_graph, path_graph, random_graph, unit_graph
@@ -67,6 +67,13 @@ class TestSchurComplement:
             gs.schur_complement(q, [0, 0])
         with pytest.raises(IndexOutOfRangeError):
             gs.schur_complement(q, [0, 3])
+
+    def test_single_kept_node_is_positive_zero(self):
+        # a lone node has no links; -0.0 would print as "-0" in the CLI
+        q = gs.build_laplacian(path_graph(3))
+        reduced = gs.schur_complement(q, [1]).matrix
+        assert reduced.shape == (1, 1) and reduced[0, 0] == 0.0
+        assert not np.signbit(reduced[0, 0])
 
     def test_not_positive_definite_rejected(self):
         # link a-b plus an isolated node c: eliminating {b, c} leaves a
@@ -236,6 +243,42 @@ class TestCheckQuotient:
             assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
             one_shot = gs.schur_complement(q, w).matrix
             assert report.incremental_residual == np.abs(one_shot - incremental).max()
+
+
+def folded_single_eliminations(q, w, order):
+    """Q reduced onto W by one kron_reduce_single per node of ``order``,
+    rows following W."""
+    folded, remaining = q, list(range(q.n))
+    for node in order:
+        folded = gs.kron_reduce_single(folded, remaining.index(node))
+        remaining.remove(node)
+    perm = [remaining.index(i) for i in w]
+    return folded.matrix[np.ix_(perm, perm)]
+
+
+class TestPanelElimination:
+    # n - |W| nodes are eliminated: three full panels and a ragged one, an
+    # exact multiple of the panel width, and less than one panel
+    @pytest.mark.parametrize("n, k_w", [(200, 3), (2 * _PANEL + 4, 4), (_PANEL // 2, 5)])
+    def test_matches_folded_single_eliminations(self, n, k_w):
+        rng = np.random.default_rng(n)
+        q = gs.build_laplacian(random_graph(rng, n=n))
+        w = sorted(rng.choice(n, size=k_w, replace=False).tolist())
+        v = sorted(set(w) | set(rng.choice(n, size=n // 2, replace=False).tolist()))
+        report = gs.check_quotient(q, v, w, seed=n)
+        complement = [i for i in range(n) if i not in w]
+        assert report.elimination_order == tuple(
+            np.random.default_rng(n).permutation(complement))
+        expected = folded_single_eliminations(q, w, report.elimination_order)
+        incremental = _eliminate_in_order(q, w, report.elimination_order, DEFAULT)
+        assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert report.incremental_residual <= 1e-12 * np.abs(expected).max()
+
+    def test_not_positive_definite_pivot_rejected(self):
+        # the isolated node c makes the eliminated panel singular
+        q = gs.LaplacianMatrix(np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], float))
+        with pytest.raises(GraphSimplexError, match="not positive definite"):
+            _eliminate_in_order(q, [0, 1], [2], DEFAULT)
 
 
 class TestResistancePreservation:
