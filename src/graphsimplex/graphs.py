@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -150,8 +152,9 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 class LaplacianMatrix:
-    """An n x n Laplacian with a cached pseudoinverse and a cached
-    eigendecomposition, all held as read-only arrays.
+    """An n x n Laplacian with a cached symmetric part, pseudoinverse and
+    eigendecomposition, all held as read-only arrays, and one cached
+    ``ValidationReport`` per ``Tolerances``.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
     Schur reductions); use ``from_matrix`` to validate arbitrary input.
@@ -162,13 +165,27 @@ class LaplacianMatrix:
         m.setflags(write=False)
         self.matrix = m
         self.n = m.shape[0]
+        self._reports: dict[Tolerances, ValidationReport] = {}
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerances = DEFAULT) -> "LaplacianMatrix":
         report = validate_laplacian(matrix, tol)
         if not report.passed:
             raise NotALaplacianError(report)
-        return cls(linalg.as_square_array(matrix))
+        q = cls(linalg.as_square_array(matrix))
+        q._reports[tol] = report
+        return q
+
+    @cached_property
+    def symmetric(self) -> np.ndarray:
+        """``linalg.symmetric_part(matrix)``; ``matrix`` itself when the two
+        are bitwise equal, as for every Laplacian ``build_laplacian`` makes,
+        so that no second n x n array is kept."""
+        s = linalg.symmetric_part(self.matrix)
+        if np.array_equal(s, self.matrix):
+            return self.matrix
+        s.setflags(write=False)
+        return s
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -181,7 +198,7 @@ class LaplacianMatrix:
     def spectrum(self) -> linalg.EigenDecomposition:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
         asymmetry), descending with the zero last; shared by every caller."""
-        dec = linalg.eigh(linalg.symmetric_part(self.matrix))
+        dec = linalg.eigh_symmetric(self.symmetric)
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
         return dec
@@ -201,8 +218,12 @@ class PropertyCheck:
 class ValidationReport:
     """Per-property pass/fail for the two equivalent Laplacian definitions."""
 
-    checks: dict[str, PropertyCheck] = field(default_factory=dict)
+    checks: Mapping[str, PropertyCheck] = field(default_factory=dict)
     tol_scale: float = 0.0
+
+    def __post_init__(self):
+        # read-only: a LaplacianMatrix hands its cached report to every caller
+        object.__setattr__(self, "checks", MappingProxyType(dict(self.checks)))
 
     @property
     def passed(self) -> bool:
@@ -230,7 +251,20 @@ _SPECTRAL = ("positive_semidefinite", "single_zero_eigenvalue", "constant_kernel
 
 def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
     """Check the structural properties (i)-(iv) and the spectral ones
-    (i)s-(iii)s of the Laplacian characterization, plus their consistency."""
+    (i)s-(iii)s of the Laplacian characterization, plus their consistency.
+
+    A ``LaplacianMatrix`` is checked once per ``Tolerances``: later calls
+    return the report it keeps.
+    """
+    if not isinstance(a, LaplacianMatrix):
+        return _check_properties(a, tol)
+    report = a._reports.get(tol)
+    if report is None:
+        report = a._reports[tol] = _check_properties(a.matrix, tol)
+    return report
+
+
+def _check_properties(a, tol: Tolerances) -> ValidationReport:
     m = linalg.as_square_array(a)
     n = m.shape[0]
     scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
@@ -339,14 +373,15 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
     Node labels are "0".."n-1"; entries within the sign dead-band are
     treated as absent links.
     """
+    if not isinstance(a, LaplacianMatrix):
+        a = LaplacianMatrix(linalg.as_square_array(a))
     report = validate_laplacian(a, tol)
     if not report.passed:
         raise NotALaplacianError(report)
-    m = linalg.as_square_array(a)
-    n = m.shape[0]
+    n = a.n
     atol = report.tol_scale
     i, j = np.triu_indices(n, 1)
-    w = -linalg.symmetric_part(m)[i, j]
+    w = -a.symmetric[i, j]
     keep = w > atol
     return WeightedGraph(
         tuple(str(k) for k in range(n)),
@@ -356,5 +391,13 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
 
 
 def spanning_tree_count(q: LaplacianMatrix) -> float:
-    """Matrix-Tree count: product of the nonzero Laplacian eigenvalues over n."""
-    return float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)
+    """Matrix-Tree count: product of the nonzero Laplacian eigenvalues over n.
+
+    Raises NonFiniteEntryError when the count overflows to inf or
+    underflows to 0, as it does for ordinary weights at n = 1000.
+    """
+    with np.errstate(all="ignore"):
+        tau = float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)
+    if not np.isfinite(tau) or tau == 0.0:
+        raise NonFiniteEntryError("the spanning tree count leaves the float range")
+    return tau

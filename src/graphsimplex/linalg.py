@@ -104,7 +104,14 @@ def eigh(a) -> EigenDecomposition:
 
     For Laplacians this puts the zero eigenvalue last.
     """
-    m = symmetrize(a)
+    return eigh_symmetric(symmetrize(a))
+
+
+def eigh_symmetric(m: np.ndarray) -> EigenDecomposition:
+    """``eigh`` of an array that is already exactly symmetric, such as a
+    ``symmetric_part``, without symmetrizing it again."""
+    if not np.isfinite(m).all():
+        raise NonFiniteEntryError("matrix contains non-finite entries")
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -129,7 +136,7 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
 
 def laplacian_pseudoinverse(q) -> np.ndarray:
     """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair deflated."""
-    return deflated_inverse(eigh(symmetric_part(as_square_array(q))), -1)
+    return deflated_inverse(eigh_symmetric(symmetric_part(as_square_array(q))), -1)
 
 
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -138,7 +145,13 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     Deflates the single zero eigenvalue found by eigendecomposition; any
     further (relative) zero eigenvalue raises ``RankDeficientError``.
     """
-    dec = eigh(a)
+    return pinv_kernel_u_symmetric(symmetrize(a), tol)
+
+
+def pinv_kernel_u_symmetric(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``pinv_kernel_u`` of an array that is already exactly symmetric,
+    without symmetrizing it again."""
+    dec = eigh_symmetric(m)
     vals = dec.eigenvalues
     mu_max = float(vals.max(initial=0.0))
     if mu_max <= 0.0:

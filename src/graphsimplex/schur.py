@@ -63,7 +63,7 @@ def _symmetric_buffer(q: LaplacianMatrix, perm: list[int]) -> np.ndarray:
     """The symmetric part of Q with rows and columns in ``perm`` order, as a
     new array that the elimination routines overwrite (a copy of Q when Q
     is symmetric)."""
-    return linalg.symmetric_part(np.asarray(q.matrix)[np.ix_(perm, perm)])
+    return q.symmetric[np.ix_(perm, perm)]
 
 
 def _eliminate_last(a: np.ndarray, tol: Tolerances) -> None:

@@ -100,14 +100,14 @@ def _centered_pair(gram: np.ndarray, tol: Tolerances) -> GramPair:
     """Canonical Gram pair of the points with (uncentered) Gram matrix
     ``gram``: the double-centered Gram and its pseudoinverse."""
     m = linalg.double_center(gram)
-    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m, tol))
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u_symmetric(m, tol))
 
 
 def gram_pair_from_pinv(pinv_gram, tol: Tolerances = DEFAULT) -> GramPair:
     """Gram pair of the Simplex whose canonical pseudoinverse Gram matrix is
     given (e.g. a Laplacian, or a non-hyperacute candidate)."""
     mdag = linalg.symmetrize(pinv_gram)
-    return GramPair(gram=linalg.pinv_kernel_u(mdag, tol), pinv_gram=mdag)
+    return GramPair(gram=linalg.pinv_kernel_u_symmetric(mdag, tol), pinv_gram=mdag)
 
 
 def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:

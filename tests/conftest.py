@@ -12,19 +12,32 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def record_shapes(monkeypatch, name):
+    """Patch np.linalg.<name> to record the shape of each matrix passed
+    to it; returns the list of shapes."""
+    calls = []
+    solver = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """The shapes of the matrices passed to np.linalg.eigh, the one
     eigensolver behind gs.eigh, during the test."""
-    calls = []
-    eigh = np.linalg.eigh
+    return record_shapes(monkeypatch, "eigh")
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigvalsh, the
+    eigenvalue solver behind validate_laplacian, during the test."""
+    return record_shapes(monkeypatch, "eigvalsh")
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,14 @@ class TestRangeErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 8e307\nb c 8e307\n"))
         assert_one_error_line(*run(capsys, [command, "-"]))
 
+    @pytest.mark.parametrize("weight", ["1e200", "1e-200"])
+    def test_tree_count_out_of_range(self, capsys, monkeypatch, weight):
+        # tau = 3 w^2 is not a finite positive float
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"a b {weight}\nb c {weight}\n"))
+        code, out, err = run(capsys, ["spanning-trees", "-"])
+        assert_one_error_line(code, out, err)
+        assert "spanning tree count" in err
+
     def test_memory_error(self, capsys, monkeypatch, path3_file):
         def exhausted(*args):
             raise MemoryError("cannot allocate")

@@ -167,6 +167,15 @@ class TestSpanningTreeCount:
             got = gs.spanning_tree_count(gs.build_laplacian(g_unit))
             assert got == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("weight", [1e200, 1e-200])
+    def test_count_beyond_the_float_range_raises(self, weight):
+        # tau = 3 w^2 overflows to inf or underflows to 0
+        q = gs.build_laplacian(gs.parse_graph(f"a b {weight}\nb c {weight}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntryError, match="spanning tree count"):
+                gs.spanning_tree_count(q)
+
 
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
@@ -249,6 +258,48 @@ class TestLaplacianCaches:
         gs.spanning_tree_count(q)
         gs.embed_from_laplacian(q)
         assert eigh_calls == [(12, 12)]
+
+    def test_graph_from_laplacian_reads_the_validation(self, eigvalsh_calls, rng):
+        q = gs.build_laplacian(random_graph(rng, n=9))
+        report = gs.validate_laplacian(q)
+        gs.graph_from_laplacian(q)
+        assert eigvalsh_calls == [(9, 9)]
+        assert gs.validate_laplacian(q) is report
+        assert report == gs.validate_laplacian(q.matrix)
+
+    def test_from_matrix_keeps_its_report(self, eigvalsh_calls, rng):
+        q = gs.LaplacianMatrix.from_matrix(gs.build_laplacian(random_graph(rng, n=7)).matrix)
+        assert eigvalsh_calls == [(7, 7)]
+        assert gs.validate_laplacian(q).passed
+        assert eigvalsh_calls == [(7, 7)]
+
+    def test_each_tolerance_has_its_own_report(self, eigvalsh_calls, rng):
+        q = gs.build_laplacian(random_graph(rng, n=8))
+        default = gs.validate_laplacian(q)
+        loose = gs.validate_laplacian(q, gs.DEFAULT.with_validation(1e-6))
+        assert loose is not default
+        assert loose.tol_scale == 1e3 * default.tol_scale
+        assert gs.validate_laplacian(q, gs.Tolerances(validation=1e-6)) is loose
+        assert len(eigvalsh_calls) == 2
+
+    def test_report_checks_are_read_only(self, rng):
+        report = gs.validate_laplacian(gs.build_laplacian(random_graph(rng, n=5)))
+        with pytest.raises(TypeError):
+            report.checks["symmetric"] = report.checks["irreducible"]
+        with pytest.raises(TypeError):
+            del report.checks["symmetric"]
+
+    def test_symmetric_part_is_kept_once(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=6))
+        assert q.symmetric is q.matrix
+        m = q.matrix.copy()
+        m[0, 1] += 1e-12
+        m[0, 0] -= 1e-12
+        asym = gs.LaplacianMatrix.from_matrix(m)
+        assert np.array_equal(asym.symmetric, 0.5 * m + 0.5 * m.T)
+        assert asym.symmetric is asym.symmetric
+        with pytest.raises(ValueError):
+            asym.symmetric[0, 0] = 1.0
 
 
 class TestAcceptedAsymmetry:

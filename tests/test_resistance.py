@@ -244,6 +244,22 @@ class TestCheckMetricSlabs:
                 got = (report.violations, report.worst_triple, report.worst_slack)
                 assert got == full_tensor_metric(d, mode)
 
+    def test_violations_only_in_the_last_ragged_slab(self):
+        # at 2^15 entries a slab holds 3 rows of i for n = 101, so the last
+        # slab holds the 2 rows i = 99, 100 alone; only the pair (99, 100)
+        # violates the triangle inequality, through every other node j
+        n = 101
+        i_step = resistance._SLAB_ENTRIES // n // n
+        assert n % i_step == 2
+        d = np.ones((n, n))
+        np.fill_diagonal(d, 0.0)
+        d[99, 100] = d[100, 99] = 5.0
+        for mode in ("plain", "sqrt"):
+            report = gs.check_metric(d, mode)
+            got = (report.violations, report.worst_triple, report.worst_slack)
+            assert got == full_tensor_metric(d, mode)
+            assert report.violations == 2 * (n - 2)
+
     def test_memory_is_bounded(self):
         points = np.random.default_rng(5).normal(size=(200, 3))
         d = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)

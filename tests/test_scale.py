@@ -8,12 +8,14 @@ the validation verdicts change.
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphsimplex as gs
+from graphsimplex.errors import NonFiniteEntryError
 
 from oracles import random_graph
 
@@ -80,3 +82,12 @@ def test_validation_verdicts_do_not_change(graphs, k):
     ]
     for m in specimens:
         assert verdicts(gs.validate_laplacian(10.0**k * m)) == verdicts(gs.validate_laplacian(m))
+
+
+def test_tree_count_of_the_n1000_fixture_raises():
+    # tau is about 10^1372 here; log tau is still open (ROADMAP 1(d))
+    q = gs.build_laplacian(sized_graph(7, 0, 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntryError, match="spanning tree count"):
+            gs.spanning_tree_count(q)
