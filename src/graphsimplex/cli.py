@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import resistance, schur, simplex
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import GraphSimplexError, UnknownLabelError
 from .graphs import (
     LaplacianMatrix,
@@ -72,12 +72,6 @@ def _resolve_labels(g: WeightedGraph, spec: str) -> list[int]:
     return idx
 
 
-def _tolerances(args) -> Tolerances:
-    if args.tol is not None:
-        return DEFAULT.with_validation(args.tol)
-    return DEFAULT
-
-
 def cmd_laplacian(args, g: WeightedGraph, q: LaplacianMatrix) -> int:
     _emit_matrix(args, g.labels, q.matrix)
     return 0
@@ -101,7 +95,8 @@ def cmd_embed(args, g, q) -> int:
 
 def cmd_angles(args, g, q) -> int:
     gp = simplex.gram_pair_from_laplacian(q)
-    cls = simplex.dihedral_angles(gp, _tolerances(args))
+    tol = DEFAULT if args.tol is None else DEFAULT.with_validation(args.tol)
+    cls = simplex.dihedral_angles(gp, tol)
     rows = cls.pair_rows()
     if args.format == "json":
         names = [json.dumps(label) for label in g.labels]
@@ -122,16 +117,14 @@ def cmd_angles(args, g, q) -> int:
 
 def cmd_reduce(args, g, q) -> int:
     keep = _resolve_labels(g, args.keep)
-    reduced = schur.schur_complement(q, keep, _tolerances(args))
+    reduced = schur.schur_complement(q, keep)
     _emit_matrix(args, [g.labels[i] for i in keep], reduced.matrix)
     return 0
 
 
 def cmd_metric_check(args, g, q) -> int:
     mode = "sqrt" if args.sqrt else "plain"
-    report = resistance.check_metric(
-        resistance.resistance_matrix(q), mode, _tolerances(args)
-    )
+    report = resistance.check_metric(resistance.resistance_matrix(q), mode)
     if args.format == "json":
         sys.stdout.write(
             '{"mode": "%s", "violations": %d, "passed": %s}\n'
@@ -225,8 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", default="-",
                        help="edge-list file, or - for stdin (default)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default validation tolerance")
+        if name == "angles":
+            p.add_argument("--tol", type=float, default=None,
+                           help="relative sign dead-band of the angle labels "
+                                "(default %g)" % DEFAULT.validation)
+        if name == "verify-identity":
+            p.add_argument("--tol", type=float, default=None,
+                           help="pass threshold of the identity residual "
+                                "(default %g)" % DEFAULT.residual)
         if name == "reduce":
             p.add_argument("--keep", required=True,
                            help="comma-separated node labels to keep")

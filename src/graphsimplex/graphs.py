@@ -62,7 +62,7 @@ class WeightedGraph:
                 raise NonPositiveWeightError(
                     f"weight {w!r} on link {self.labels[i]!r}-{self.labels[j]!r}"
                 )
-        if not self._is_connected():
+        if not _connected(n, *np.array(self.links, dtype=np.intp).reshape(-1, 2).T):
             raise DisconnectedError("graph is not connected")
 
     @property
@@ -89,24 +89,23 @@ class WeightedGraph:
             # same error type and message as labels.index(label)
             raise ValueError("tuple.index(x): x not in tuple") from None
 
-    def _is_connected(self) -> bool:
-        # plain BFS over the link set; deliberately independent of any
-        # spectral connectivity check
-        n = self.n
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.links:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            k = stack.pop()
-            for m in adj[k]:
-                if not seen[m]:
-                    seen[m] = True
-                    stack.append(m)
-        return all(seen)
+
+def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the n nodes are connected by the undirected links
+    (i[k], j[k]): a breadth-first frontier expansion over the two index
+    arrays, deliberately independent of any spectral connectivity check."""
+    src, dst = np.concatenate((i, j)), np.concatenate((j, i))
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while True:
+        reached = dst[frontier[src]]
+        reached = reached[~seen[reached]]
+        if not reached.size:
+            return bool(seen.all())
+        seen[reached] = True
+        frontier[:] = False
+        frontier[reached] = True
 
 
 def parse_graph(text: str) -> WeightedGraph:
@@ -178,12 +177,12 @@ class LaplacianMatrix:
 
     @cached_property
     def symmetric(self) -> np.ndarray:
-        """``linalg.symmetric_part(matrix)``; ``matrix`` itself when the two
-        are bitwise equal, as for every Laplacian ``build_laplacian`` makes,
-        so that no second n x n array is kept."""
-        s = linalg.symmetric_part(self.matrix)
-        if np.array_equal(s, self.matrix):
+        """``linalg.symmetric_part(matrix)``; ``matrix`` itself when it
+        equals its transpose, as every Laplacian ``build_laplacian`` makes
+        does, so that no second n x n array is kept."""
+        if np.array_equal(self.matrix, self.matrix.T):
             return self.matrix
+        s = linalg.symmetric_part(self.matrix)
         s.setflags(write=False)
         return s
 
@@ -198,7 +197,7 @@ class LaplacianMatrix:
     def spectrum(self) -> linalg.EigenDecomposition:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
         asymmetry), descending with the zero last; shared by every caller."""
-        dec = linalg.eigh_symmetric(self.symmetric)
+        dec = linalg.eigh(self.symmetric)
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
         return dec
@@ -301,8 +300,11 @@ def _check_properties(a, tol: Tolerances) -> ValidationReport:
         f"max |row sum| = {units(row_err):.3e}, max |col sum| = {units(col_err):.3e}",
     )
 
+    support = np.abs(m) > atol
+    np.fill_diagonal(support, False)
     checks["irreducible"] = PropertyCheck(
-        "irreducible", _irreducible(m, atol), "BFS over off-diagonal support"
+        "irreducible", _connected(n, *np.nonzero(support)),
+        "BFS over off-diagonal support"
     )
 
     sym = linalg.symmetric_part(scaled)
@@ -326,24 +328,6 @@ def _check_properties(a, tol: Tolerances) -> ValidationReport:
     )
 
     return ValidationReport(checks=checks, tol_scale=atol)
-
-
-def _irreducible(m: np.ndarray, atol: float) -> bool:
-    n = m.shape[0]
-    if n == 1:
-        return True
-    support = np.abs(m) > atol
-    np.fill_diagonal(support, False)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        k = stack.pop()
-        for j in np.nonzero(support[k] | support[:, k])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
 
 
 def build_laplacian(g: WeightedGraph) -> LaplacianMatrix:

@@ -25,10 +25,10 @@ from .errors import (
 
 
 def as_square_array(a) -> np.ndarray:
-    """Coerce to a square float64 array with finite entries."""
+    """Coerce to a non-empty square float64 array with finite entries."""
     m = np.asarray(getattr(a, "matrix", a), dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise NonSquareError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntryError("matrix contains non-finite entries")
     return m
@@ -42,8 +42,11 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(a, rtol: float = 1e-12) -> np.ndarray:
-    """Return (A + A^T)/2, requiring A to be symmetric within ``rtol``."""
+    """Return (A + A^T)/2, requiring A to be symmetric within ``rtol``; an
+    exactly symmetric A is returned as it is, not copied."""
     m = as_square_array(a)
+    if np.array_equal(m, m.T):
+        return m
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > rtol * scale:
         raise AsymmetricError("matrix is not symmetric within tolerance")
@@ -104,14 +107,7 @@ def eigh(a) -> EigenDecomposition:
 
     For Laplacians this puts the zero eigenvalue last.
     """
-    return eigh_symmetric(symmetrize(a))
-
-
-def eigh_symmetric(m: np.ndarray) -> EigenDecomposition:
-    """``eigh`` of an array that is already exactly symmetric, such as a
-    ``symmetric_part``, without symmetrizing it again."""
-    if not np.isfinite(m).all():
-        raise NonFiniteEntryError("matrix contains non-finite entries")
+    m = symmetrize(a)
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -136,7 +132,7 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
 
 def laplacian_pseudoinverse(q) -> np.ndarray:
     """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair deflated."""
-    return deflated_inverse(eigh_symmetric(symmetric_part(as_square_array(q))), -1)
+    return deflated_inverse(eigh(symmetric_part(as_square_array(q))), -1)
 
 
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -145,13 +141,7 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     Deflates the single zero eigenvalue found by eigendecomposition; any
     further (relative) zero eigenvalue raises ``RankDeficientError``.
     """
-    return pinv_kernel_u_symmetric(symmetrize(a), tol)
-
-
-def pinv_kernel_u_symmetric(m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``pinv_kernel_u`` of an array that is already exactly symmetric,
-    without symmetrizing it again."""
-    dec = eigh_symmetric(m)
+    dec = eigh(a)
     vals = dec.eigenvalues
     mu_max = float(vals.max(initial=0.0))
     if mu_max <= 0.0:

@@ -18,6 +18,7 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
     AsymmetricError,
+    DegenerateDistanceMatrixError,
     IndexOutOfRangeError,
     NonZeroDiagonalError,
 )
@@ -116,14 +117,19 @@ def verify_identity_general(pinv_gram, distances=None,
     matrix (PSD, kernel span{u}), hyperacute or not.
 
     ``distances`` defaults to the squared-distance matrix derived from
-    M = pinv(pinv_gram); pass it explicitly to verify external data.
+    M = pinv(pinv_gram); pass it explicitly to verify external data, with
+    one row and column per vertex.
     """
     mdag = linalg.symmetrize(pinv_gram)
-    m = linalg.pinv_kernel_u_symmetric(mdag, tol)  # raises RankDeficientError
+    m = linalg.pinv_kernel_u(mdag, tol)  # raises RankDeficientError
     if distances is None:
         distances = linalg.squared_distances(m)
     else:
         distances = linalg.as_square_array(distances)
+        if distances.shape != m.shape:
+            raise DegenerateDistanceMatrixError(
+                f"distances have shape {distances.shape}, not the Gram's {m.shape}"
+            )
     fb = _blocks(m, mdag)
     return _identity_residual(distances, mdag, fb.r, fb.radius)
 

@@ -59,13 +59,6 @@ def _canonicalize_in_place(m: np.ndarray, tol: Tolerances) -> None:
     np.fill_diagonal(m, -m.sum(axis=1))
 
 
-def _symmetric_buffer(q: LaplacianMatrix, perm: list[int]) -> np.ndarray:
-    """The symmetric part of Q with rows and columns in ``perm`` order, as a
-    new array that the elimination routines overwrite (a copy of Q when Q
-    is symmetric)."""
-    return q.symmetric[np.ix_(perm, perm)]
-
-
 def _eliminate_last(a: np.ndarray, tol: Tolerances) -> None:
     """Eliminate the last node of the symmetric Laplacian ``a`` in place:
     afterwards ``a[:-1, :-1]`` is the canonical Kron reduction and the last
@@ -119,7 +112,7 @@ def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
     runs once per panel.
     """
     perm = w_idx + list(order[::-1])
-    buf = _symmetric_buffer(q, perm)
+    buf = q.symmetric[np.ix_(perm, perm)]
     for k in range(len(perm), len(w_idx), -_PANEL):
         _eliminate_panel(buf[:k, :k], max(k - _PANEL, len(w_idx)), tol)
     return buf[:len(w_idx), :len(w_idx)]
@@ -138,7 +131,8 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
     elim = [i for i in range(q.n) if i not in kept]
     if not elim:
         return LaplacianMatrix(m[np.ix_(idx, idx)])
-    buf = _symmetric_buffer(q, idx + elim)
+    perm = idx + elim
+    buf = q.symmetric[np.ix_(perm, perm)]
     _eliminate_panel(buf, len(idx), tol)
     return LaplacianMatrix(buf[:len(idx), :len(idx)])
 
@@ -152,7 +146,8 @@ def kron_reduce_single(q: LaplacianMatrix, node: int,
         raise TooSmallError("single-node elimination needs n >= 3")
     if not 0 <= node < n:
         raise IndexOutOfRangeError(f"node {node} out of range for n={n}")
-    buf = _symmetric_buffer(q, [i for i in range(n) if i != node] + [node])
+    perm = [i for i in range(n) if i != node] + [node]
+    buf = q.symmetric[np.ix_(perm, perm)]
     _eliminate_last(buf, tol)
     return LaplacianMatrix(buf[:-1, :-1])
 

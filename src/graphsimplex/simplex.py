@@ -26,6 +26,7 @@ from .errors import (
     GraphSimplexError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
+    RankDeficientError,
 )
 from .graphs import LaplacianMatrix
 from .resistance import FiedlerBlocks
@@ -73,9 +74,18 @@ class GramPair:
 def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     """Vertices (s_i)_k = (z_k)_i / sqrt(mu_k) over the nonzero eigenpairs,
     so that S^T S = Q^dagger and squared vertex distances equal the
-    effective resistances."""
+    effective resistances.
+
+    Raises RankDeficientError when a nonzero eigenvalue rounds to <= 0, as
+    for weights spanning hundreds of decades.
+    """
     dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
+    if not mu[-1] > 0.0:
+        raise RankDeficientError(
+            f"a nonzero Laplacian eigenvalue rounds to {mu[-1]:.3e}; "
+            "the weights span too many decades for one spectrum"
+        )
     z = dec.eigenvectors[:, :-1]
     s = z.T / np.sqrt(mu)[:, None]
     return SimplexEmbedding(vertices=s)
@@ -100,14 +110,14 @@ def _centered_pair(gram: np.ndarray, tol: Tolerances) -> GramPair:
     """Canonical Gram pair of the points with (uncentered) Gram matrix
     ``gram``: the double-centered Gram and its pseudoinverse."""
     m = linalg.double_center(gram)
-    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u_symmetric(m, tol))
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m, tol))
 
 
 def gram_pair_from_pinv(pinv_gram, tol: Tolerances = DEFAULT) -> GramPair:
     """Gram pair of the Simplex whose canonical pseudoinverse Gram matrix is
     given (e.g. a Laplacian, or a non-hyperacute candidate)."""
-    mdag = linalg.symmetrize(pinv_gram)
-    return GramPair(gram=linalg.pinv_kernel_u_symmetric(mdag, tol), pinv_gram=mdag)
+    mdag = linalg.symmetrize(pinv_gram).copy()  # not the caller's array
+    return GramPair(gram=linalg.pinv_kernel_u(mdag, tol), pinv_gram=mdag)
 
 
 def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,170 @@ def test_angles_golden_output(capsys, monkeypatch, doc, fmt):
     assert out == ANGLES_GOLDEN[doc, fmt]
 
 
+# Exact TSV output of every subcommand on the three fixtures; a refactor
+# must keep these bytes. They hold for one numpy/OpenBLAS build: another
+# LAPACK may pick another eigenvector basis for TRIANGLE's double eigenvalue
+# (embed) or round the residuals and near-zero entries differently.
+CLI_GOLDEN = {
+    (PATH3, "laplacian"):
+        "a\tb\tc\n"
+        "1\t-1\t0\n"
+        "-1\t2\t-1\n"
+        "0\t-1\t1\n",
+    (PATH3, "pinv"):
+        "a\tb\tc\n"
+        "0.555555555556\t-0.111111111111\t-0.444444444444\n"
+        "-0.111111111111\t0.222222222222\t-0.111111111111\n"
+        "-0.444444444444\t-0.111111111111\t0.555555555556\n",
+    (PATH3, "resistance"):
+        "a\tb\tc\n"
+        "0\t1\t2\n"
+        "1\t0\t1\n"
+        "2\t1\t0\n",
+    (PATH3, "embed"):
+        "a\tb\tc\n"
+        "0.235702260396\t-0.471404520791\t0.235702260396\n"
+        "-0.707106781187\t9.71445146547e-17\t0.707106781187\n",
+    (PATH3, "angles"):
+        "a\tb\t-0.707106781187\tacute\n"
+        "a\tc\t0\tright\n"
+        "b\tc\t-0.707106781187\tacute\n",
+    (PATH3, "reduce --keep a,c"):
+        "a\tc\n"
+        "0.5\t-0.5\n"
+        "-0.5\t0.5\n",
+    (PATH3, "metric-check"):
+        "0 violations (mode plain)\n",
+    (PATH3, "metric-check --sqrt"):
+        "0 violations (mode sqrt)\n",
+    (PATH3, "volume"):
+        "0.5\n",
+    (PATH3, "verify-identity"):
+        "residual_ab\t4.4408920985e-16\n"
+        "residual_ba\t4.4408920985e-16\n",
+    (PATH3, "spanning-trees"):
+        "1\n",
+    (PATH3, "blocks"):
+        "zeta\t0.555555555556\t0.222222222222\t0.555555555556\n"
+        "r\t0.5\t3.88578058619e-16\t0.5\n"
+        "R\t0.707106781187\n",
+    (TRIANGLE, "laplacian"):
+        "a\tb\tc\n"
+        "2\t-1\t-1\n"
+        "-1\t2\t-1\n"
+        "-1\t-1\t2\n",
+    (TRIANGLE, "pinv"):
+        "a\tb\tc\n"
+        "0.222222222222\t-0.111111111111\t-0.111111111111\n"
+        "-0.111111111111\t0.222222222222\t-0.111111111111\n"
+        "-0.111111111111\t-0.111111111111\t0.222222222222\n",
+    (TRIANGLE, "resistance"):
+        "a\tb\tc\n"
+        "0\t0.666666666667\t0.666666666667\n"
+        "0.666666666667\t0\t0.666666666667\n"
+        "0.666666666667\t0.666666666667\t0\n",
+    (TRIANGLE, "embed"):
+        "a\tb\tc\n"
+        "0.369208923195\t0.0692266730991\t-0.438435596294\n"
+        "0.293098947892\t-0.466293780737\t0.173194832845\n",
+    (TRIANGLE, "angles"):
+        "a\tb\t-0.5\tacute\n"
+        "a\tc\t-0.5\tacute\n"
+        "b\tc\t-0.5\tacute\n",
+    (TRIANGLE, "reduce --keep b,c"):
+        "b\tc\n"
+        "1.5\t-1.5\n"
+        "-1.5\t1.5\n",
+    (TRIANGLE, "metric-check"):
+        "0 violations (mode plain)\n",
+    (TRIANGLE, "metric-check --sqrt"):
+        "0 violations (mode sqrt)\n",
+    (TRIANGLE, "volume"):
+        "0.288675134595\n",
+    (TRIANGLE, "verify-identity"):
+        "residual_ab\t2.22044604925e-16\n"
+        "residual_ba\t2.22044604925e-16\n",
+    (TRIANGLE, "spanning-trees"):
+        "3\n",
+    (TRIANGLE, "blocks"):
+        "zeta\t0.222222222222\t0.222222222222\t0.222222222222\n"
+        "r\t0.333333333333\t0.333333333333\t0.333333333333\n"
+        "R\t0.471404520791\n",
+    (QUAD, "laplacian"):
+        'a\tb\tx"y\té\n'
+        "3\t-2\t0\t-1\n"
+        "-2\t2.75\t-0.5\t-0.25\n"
+        "0\t-0.5\t3.5\t-3\n"
+        "-1\t-0.25\t-3\t4.25\n",
+    (QUAD, "pinv"):
+        'a\tb\tx"y\té\n'
+        "0.239491150442\t0.0425884955752\t-0.165376106195\t-0.116703539823\n"
+        "0.0425884955752\t0.261615044248\t-0.158738938053\t-0.14546460177\n"
+        "-0.165376106195\t-0.158738938053\t0.252765486726\t0.0713495575221\n"
+        "-0.116703539823\t-0.14546460177\t0.0713495575221\t0.190818584071\n",
+    (QUAD, "resistance"):
+        'a\tb\tx"y\té\n'
+        "0\t0.41592920354\t0.823008849558\t0.663716814159\n"
+        "0.41592920354\t0\t0.83185840708\t0.743362831858\n"
+        "0.823008849558\t0.83185840708\t0\t0.300884955752\n"
+        "0.663716814159\t0.743362831858\t0.300884955752\t0\n",
+    (QUAD, "embed"):
+        'a\tb\tx"y\té\n'
+        "-0.0923831843158\t0.0535377968712\t-0.233997577924\t0.272842965368\n"
+        "-0.315264605815\t0.311708218881\t0.0923044836662\t-0.0887480967328\n"
+        "-0.362718521748\t-0.401978525342\t0.435305068368\t0.329391978722\n",
+    (QUAD, "angles"):
+        "a\tb\t-0.696310623823\tacute\n"
+        'a\tx"y\t0\tright\n'
+        "a\té\t-0.280056016806\tacute\n"
+        'b\tx"y\t-0.161164592805\tacute\n'
+        "b\té\t-0.0731272424127\tacute\n"
+        'x"y\té\t-0.777844468263\tacute\n',
+    (QUAD, 'reduce --keep x"y,é'):
+        'x"y\té\n'
+        "3.32352941176\t-3.32352941176\n"
+        "-3.32352941176\t3.32352941176\n",
+    (QUAD, "metric-check"):
+        "0 violations (mode plain)\n",
+    (QUAD, "metric-check --sqrt"):
+        "0 violations (mode sqrt)\n",
+    (QUAD, "volume"):
+        "0.0443460070158\n",
+    (QUAD, "verify-identity"):
+        "residual_ab\t4.4408920985e-16\n"
+        "residual_ba\t4.4408920985e-16\n",
+    (QUAD, "spanning-trees"):
+        "14.125\n",
+    (QUAD, "blocks"):
+        "zeta\t0.239491150442\t0.261615044248\t0.252765486726\t0.190818584071\n"
+        "r\t0.252212389381\t0.283185840708\t0.340707964602\t0.12389380531\n"
+        "R\t0.490112911948\n",
+}
+GOLDEN_NAMES = {PATH3: "path3", TRIANGLE: "triangle", QUAD: "quad"}
+
+
+@pytest.mark.parametrize("doc, command", list(CLI_GOLDEN),
+                         ids=[f"{GOLDEN_NAMES[d]}-{c}" for d, c in CLI_GOLDEN])
+def test_cli_golden_output(capsys, monkeypatch, doc, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, [*command.split(), "-"])
+    assert (code, err) == (0, "")
+    assert out == CLI_GOLDEN[doc, command]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_tol_only_where_it_is_read(capsys, path3_file, command):
+    extra = ["--keep", "a,c"] if command == "reduce" else []
+    argv = [command, path3_file, "--tol", "1e-6", *extra]
+    if command in ("angles", "verify-identity"):
+        assert run(capsys, argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def assert_one_error_line(code, out, err):
     assert code == 2 and out == ""
     lines = err.splitlines()
@@ -270,6 +435,19 @@ class TestRangeErrors:
         # finite degrees, but the largest eigenvalue (2.4e308) is not
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 8e307\nb c 8e307\n"))
         assert_one_error_line(*run(capsys, [command, "-"]))
+
+    @pytest.mark.parametrize("command", ["embed", "volume"])
+    def test_mixed_scale_eigenvalue_rounds_to_zero(self, capsys, monkeypatch, command):
+        # a tree whose weights span ~500 decades: one nonzero eigenvalue of its
+        # double-precision spectrum rounds to <= 0
+        doc = ("4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n"
+               "2 3 1.9e206\n1 5 1.3e-300\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "-"])
+        assert_one_error_line(code, out, err)
+        assert "eigenvalue" in err
 
     @pytest.mark.parametrize("weight", ["1e200", "1e-200"])
     def test_tree_count_out_of_range(self, capsys, monkeypatch, weight):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import graphsimplex as gs
+from graphsimplex import graphs
 from graphsimplex.errors import (
     DisconnectedError,
     EdgeListSyntaxError,
@@ -389,3 +390,98 @@ class TestScaleFreeValidation:
             report = gs.validate_laplacian(m)
             for name, (passed, detail) in reference_sum_checks(m).items():
                 assert (report.checks[name].passed, report.checks[name].detail) == (passed, detail)
+
+
+def reference_links_connected(n, links):
+    """The link-list BFS that WeightedGraph ran before ``_connected``."""
+    adj = [[] for _ in range(n)]
+    for i, j in links:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    while stack:
+        k = stack.pop()
+        for m in adj[k]:
+            if not seen[m]:
+                seen[m] = True
+                stack.append(m)
+    return all(seen)
+
+
+def reference_irreducible(m, atol):
+    """The support-matrix BFS that validate_laplacian ran before ``_connected``."""
+    n = m.shape[0]
+    if n == 1:
+        return True
+    support = np.abs(m) > atol
+    np.fill_diagonal(support, False)
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        k = stack.pop()
+        for j in np.nonzero(support[k] | support[:, k])[0]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
+
+
+def two_blocks(k):
+    """Block-diagonal Laplacian of two unit paths on k nodes each."""
+    p = gs.build_laplacian(path_graph(k)).matrix
+    z = np.zeros((k, k))
+    return np.block([[p, z], [z, p]])
+
+
+class TestConnected:
+    def assert_agrees(self, m):
+        """``_connected`` on the links (i < j) and on the support matrix of
+        m against both reference bodies, and validate_laplacian's verdict."""
+        n = m.shape[0]
+        i, j = np.nonzero(np.triu(m < 0, 1))
+        links = list(zip(i.tolist(), j.tolist()))
+        expected = reference_links_connected(n, links)
+        assert graphs._connected(n, i, j) is expected
+        atol = gs.DEFAULT.validation * max(np.abs(np.diag(m)).max(), np.finfo(float).tiny)
+        support = np.abs(m) > atol
+        np.fill_diagonal(support, False)
+        assert graphs._connected(n, *np.nonzero(support)) is reference_irreducible(m, atol)
+        assert gs.validate_laplacian(m).checks["irreducible"].passed is expected
+        return expected
+
+    def test_corpus(self, small_corpus):
+        for q in small_corpus:
+            assert self.assert_agrees(q.matrix)
+
+    def test_two_components(self):
+        assert not self.assert_agrees(two_blocks(5))
+        with pytest.raises(DisconnectedError):
+            gs.WeightedGraph(("a", "b", "c", "d"), ((0, 1), (2, 3)), (1.0, 1.0))
+
+    def test_long_path(self):
+        assert self.assert_agrees(gs.build_laplacian(path_graph(1000)).matrix)
+
+    def test_dense_kron_reduction(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=120))
+        reduced = gs.schur_complement(q, list(range(0, 120, 4)))
+        assert np.count_nonzero(reduced.matrix) > 0.9 * 30**2
+        assert self.assert_agrees(reduced.matrix)
+
+    def test_single_node(self):
+        assert self.assert_agrees(np.zeros((1, 1)))
+
+    def test_blocks_joined_on_one_side_only(self):
+        # the support is the union of A and A^T: one entry joins the blocks
+        for r, c in ((0, 7), (7, 0)):
+            m = two_blocks(4)
+            m[r, c] = -1.0
+            n = m.shape[0]
+            atol = gs.DEFAULT.validation
+            support = np.abs(m) > atol
+            np.fill_diagonal(support, False)
+            assert reference_irreducible(m, atol)
+            assert graphs._connected(n, *np.nonzero(support))
+            assert gs.validate_laplacian(m).checks["irreducible"].passed

@@ -6,6 +6,7 @@ from graphsimplex import linalg
 from graphsimplex.errors import (
     AsymmetricError,
     NonFiniteEntryError,
+    NonSquareError,
     RankDeficientError,
 )
 
@@ -110,6 +111,37 @@ class TestSymmetricPart:
         m = np.array([[1.6e308, -8e307], [-8e307, 8e307]])
         with np.errstate(over="raise"):
             assert np.array_equal(linalg.symmetrize(m), m)
+
+
+class TestSymmetrize:
+    def test_exactly_symmetric_is_returned_as_is(self, rng):
+        a = rng.standard_normal((6, 6))
+        m = a + a.T
+        assert linalg.symmetrize(m) is m
+        q = gs.build_laplacian(random_graph(rng, n=6))
+        assert linalg.symmetrize(q) is q.matrix
+
+    def test_small_asymmetry_gets_the_half_sum(self, rng):
+        a = rng.standard_normal((6, 6))
+        m = a + a.T
+        m[0, 1] += 1e-13 * np.abs(m).max()
+        out = linalg.symmetrize(m)
+        assert out is not m
+        assert np.array_equal(out, linalg.symmetric_part(m))
+
+    def test_asymmetry_above_rtol_raises(self, rng):
+        a = rng.standard_normal((6, 6))
+        m = a + a.T
+        m[0, 1] += 2e-12 * max(1.0, np.abs(m).max())
+        with pytest.raises(AsymmetricError):
+            linalg.symmetrize(m)
+
+
+@pytest.mark.parametrize("call", [gs.eigh, gs.validate_laplacian, gs.check_metric,
+                                  gs.pinv_kernel_u, gs.laplacian_pseudoinverse])
+def test_empty_matrix_is_rejected(call):
+    with pytest.raises(NonSquareError, match="non-empty"):
+        call(np.zeros((0, 0)))
 
 
 class TestDoubleCenter:

@@ -9,6 +9,7 @@ from graphsimplex import resistance
 from graphsimplex.config import DEFAULT
 from graphsimplex.errors import (
     AsymmetricError,
+    DegenerateDistanceMatrixError,
     IndexOutOfRangeError,
     NonZeroDiagonalError,
     RankDeficientError,
@@ -148,6 +149,11 @@ class TestBlockIdentity:
         block = np.block([[k2, np.zeros((2, 2))], [np.zeros((2, 2)), k2]])
         with pytest.raises(RankDeficientError):
             gs.verify_identity_general(block)
+
+    def test_distances_of_another_size_rejected(self):
+        q = gs.build_laplacian(complete_graph(3))
+        with pytest.raises(DegenerateDistanceMatrixError, match="shape"):
+            gs.verify_identity_general(q.matrix, np.zeros((2, 2)))
 
 
 class TestInverseResistanceMatrix:

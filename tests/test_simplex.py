@@ -12,6 +12,7 @@ from graphsimplex.errors import (
     EmptySubsetError,
     FaceTooSmallError,
     IndexOutOfRangeError,
+    RankDeficientError,
 )
 
 from conftest import connected_graphs
@@ -52,6 +53,15 @@ class TestEmbedFromLaplacian:
             assert np.abs(d - omega).max() <= 1e-9 * max(1.0, omega.max())
 
 
+    def test_eigenvalue_rounded_to_zero_raises(self):
+        # weights across ~500 decades: the tree's smallest nonzero eigenvalue
+        # rounds to <= 0 in one double-precision spectrum
+        q = laplacian("4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n"
+                      "2 3 1.9e206\n1 5 1.3e-300\n")
+        with pytest.raises(RankDeficientError, match="eigenvalue"):
+            gs.embed_from_laplacian(q)
+
+
 class TestCanonicalGram:
     def test_two_points_on_a_line(self):
         gp = gs.canonical_gram(np.array([[0.0, 1.0]]))
@@ -80,6 +90,13 @@ class TestCanonicalGram:
             gp = gs.canonical_gram(gs.embed_from_laplacian(q))
             scale = np.abs(q.matrix).max()
             assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-7 * scale
+
+
+def test_gram_pair_from_pinv_does_not_keep_the_callers_array():
+    a = NONHYPERACUTE.copy()
+    gp = gs.gram_pair_from_pinv(a)
+    assert gp.pinv_gram is not a and not np.shares_memory(gp.pinv_gram, a)
+    assert np.array_equal(gp.pinv_gram, a)
 
 
 class TestDihedralAngles:
