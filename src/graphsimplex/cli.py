@@ -94,9 +94,8 @@ def cmd_embed(args, g, q) -> int:
 
 
 def cmd_angles(args, g, q) -> int:
-    gp = simplex.gram_pair_from_laplacian(q)
     tol = DEFAULT if args.tol is None else DEFAULT.with_validation(args.tol)
-    cls = simplex.dihedral_angles(gp, tol)
+    cls = simplex.dihedral_angles(q, tol)
     rows = cls.pair_rows()
     if args.format == "json":
         names = [json.dumps(label) for label in g.labels]

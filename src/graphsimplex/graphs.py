@@ -62,20 +62,27 @@ class WeightedGraph:
                 raise NonPositiveWeightError(
                     f"weight {w!r} on link {self.labels[i]!r}-{self.labels[j]!r}"
                 )
-        if not _connected(n, *np.array(self.links, dtype=np.intp).reshape(-1, 2).T):
+        if not _connected(n, *self.link_array.T):
             raise DisconnectedError("graph is not connected")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def link_array(self) -> np.ndarray:
+        """``links`` as a read-only (m, 2) ``np.intp`` array, built once."""
+        a = np.array(self.links, dtype=np.intp).reshape(-1, 2)
+        a.setflags(write=False)
+        return a
+
     @property
     def degrees(self) -> np.ndarray:
         """Sum of the link weights at each node, added link by link in
         ``links`` order (``np.add.at`` applies repeated indices in turn)."""
         d = np.zeros(self.n)
-        ends = np.array(self.links, dtype=np.intp).ravel()
-        np.add.at(d, ends, np.repeat(np.array(self.weights, dtype=float), 2))
+        np.add.at(d, self.link_array.ravel(),
+                  np.repeat(np.array(self.weights, dtype=float), 2))
         return d
 
     @cached_property
@@ -196,8 +203,12 @@ class LaplacianMatrix:
     @cached_property
     def spectrum(self) -> linalg.EigenDecomposition:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
-        asymmetry), descending with the zero last; shared by every caller."""
-        dec = linalg.eigh(self.symmetric)
+        asymmetry), descending with the zero last; shared by every caller.
+
+        Raises RankDeficientError where ``linalg.laplacian_spectrum``'s rule
+        refuses, so ``pinv``, the embedding and the tree count all do.
+        """
+        dec = linalg.laplacian_spectrum(self.symmetric)
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
         return dec
@@ -342,7 +353,7 @@ def build_laplacian(g: WeightedGraph) -> LaplacianMatrix:
         raise NonFiniteEntryError(
             f"degree of node {g.labels[k]!r} overflows the float range"
         )
-    i, j = np.array(g.links, dtype=np.intp).T
+    i, j = g.link_array.T
     w = np.array(g.weights, dtype=float)
     q = np.zeros((g.n, g.n))
     q[i, j] = -w

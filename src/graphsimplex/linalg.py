@@ -130,9 +130,31 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
+def laplacian_spectrum(m) -> EigenDecomposition:
+    """``eigh`` of a symmetric Laplacian, held to one resolvability rule: its
+    smallest nonzero eigenvalue must exceed n eps mu_max, the rounding level
+    of one double-precision eigendecomposition, or its inverse is noise.
+
+    The rule is a product, so a spectrum whose bound underflows (weights
+    near 1e-310) passes. Raises RankDeficientError otherwise, as for
+    weights spanning ~19 decades or more.
+    """
+    dec = eigh(m)
+    mu = dec.eigenvalues  # descending, the zero last
+    level = mu.size * np.finfo(float).eps * mu[0]
+    if mu.size > 1 and not mu[-2] > level:
+        raise RankDeficientError(
+            f"the smallest nonzero Laplacian eigenvalue, {mu[-2]:.3e}, is not above "
+            f"the rounding level {level:.3e}; "
+            "the weights span too many decades for one spectrum"
+        )
+    return dec
+
+
 def laplacian_pseudoinverse(q) -> np.ndarray:
-    """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair deflated."""
-    return deflated_inverse(eigh(symmetric_part(as_square_array(q))), -1)
+    """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair
+    deflated; RankDeficientError where ``laplacian_spectrum`` refuses."""
+    return deflated_inverse(laplacian_spectrum(symmetric_part(as_square_array(q))), -1)
 
 
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -24,12 +24,11 @@ from .errors import (
 )
 from .graphs import LaplacianMatrix
 
-# Deficit entries per slab of check_metric: 256 KiB of float64, so a slab
-# stays in L2 across its passes. Median ms per call on 400 x 400
-# resistances, plain / sqrt, on a Xeon with 2 MiB of L2 per core:
-# 2^12 262 / 246, 2^14 ~230 / ~180, 2^15 ~220 / ~155, 2^18 ~235 / ~160,
-# 2^20 (8 MiB) ~285 / ~270, 2^22 408 / 364.
+# Float64 deficits per chunk of check_metric's exact recheck: 256 KiB, so a
+# chunk stays in L2. The float32 screen's tiles hold eight times as many
+# entries (1 MiB), four pair rows by as many pair columns as fit.
 _SLAB_ENTRIES = 2**15
+_TILE_ROWS = 4
 
 
 def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
@@ -163,9 +162,12 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
     ordered triangle inequalities d(i,j) + d(j,k) >= d(i,k).
 
     Violations smaller than the slack (relative to the max entry) are
-    treated as floating-point noise. The n^3 deficits are visited in slabs
-    of at most ``_SLAB_ENTRIES``, so memory is O(slab), not O(n^3); the
-    violation count, worst triple and worst slack are still exact.
+    treated as floating-point noise. A float32 screen bounds every row
+    (i, j) of the n^3 deficits, and only the rows whose bound comes within
+    its rounding error of the slack or of the trivial triples' maximum are
+    recomputed in float64, in chunks of at most ``_SLAB_ENTRIES``; the
+    violation count, worst triple and worst slack are those of the full
+    tensor, bit for bit. Working memory is a few n x n arrays.
     """
     if mode not in ("plain", "sqrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -178,30 +180,56 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
         raise AsymmetricError("distance matrix is not symmetric")
     if mode == "sqrt":
         m = np.sqrt(np.maximum(m, 0.0))
-    off = m + np.diag(np.full(n, np.inf))
-    positive_offdiag = bool(n < 2 or off.min() > 0.0)
+    positive_offdiag = bool(n < 2 or (m + np.diag(np.full(n, np.inf))).min() > 0.0)
 
     slack = tol.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
-    # deficit[i, j, k] = d(i,k) - d(i,j) - d(j,k) over all ordered triples,
-    # one slab of (i, j) rows at a time in C order, so the first strict
-    # maximum over the slabs is the full tensor's argmax
-    rows = max(1, _SLAB_ENTRIES // n)
-    i_step, j_step = max(1, rows // n), min(rows, n)
-    slab = np.empty((min(i_step, n), j_step, n))
-    worst, flat, violations = -np.inf, 0, 0
-    for i0 in range(0, n, i_step):
-        m_i = m[i0:i0 + i_step]
-        for j0 in range(0, n, j_step):
-            m_j = m[j0:j0 + j_step]
-            deficit = slab[:len(m_i), :len(m_j)]
-            np.subtract(m_i[:, None, :], m_i[:, j0:j0 + j_step, None], out=deficit)
-            deficit -= m_j
-            top = float(deficit.max())
-            if top > slack:  # never, for a metric
+    # deficit[i, j, k] = (m_ik - m_ij) - m_jk over all ordered triples, in
+    # float64 as written; the worst triple is the first maximum in C order
+    violations, worst, flat = 0, -np.inf, 0
+    for part, position in _trivial_deficits(m):
+        violations += int(np.count_nonzero(part > slack))
+        top, at = part.max(), position(*divmod(int(np.argmax(part)), n))
+        if top > worst or (top == worst and at < flat):
+            worst, flat = top, at
+        del part  # before the next array is built
+
+    # Every other row (i, j), k outside {i, j}, is recomputed only where a
+    # float32 screen cannot rule out a deficit >= min(worst, slack): one at
+    # or above the trivial maximum may be the worst, and only one above the
+    # slack is a violation. s = m 2^-e, e the exponent of max|m|, so
+    # max|s| < 1, and row (i, j) is flagged when the float32 bound
+    # max_k fl32(a_ik - a_jk), a = float32(s), reaches s_ij + cut. Each cast
+    # is off by at most 2^-24 (a float32 subnormal, or an s that
+    # underflowed, by less) and the float32 subtraction by
+    # 2^-24 |a_ik - a_jk| <= 2^-23, so each difference is within 2^-22 of
+    # s_ik - s_jk. The float64 deficit, scaled by 2^-e, is within 5 * 2^-53
+    # of the exact s_ik - s_ij - s_jk (a subtraction never loses bits to
+    # underflow), and s_ij + cut rounds by at most 2^-52. So no deficit of
+    # an unflagged row reaches the cut plus delta = 2^-20, in units of 2^e.
+    if n >= 3:  # otherwise every triple is trivial
+        e = int(np.frexp(np.abs(m).max())[1])
+        bound = _pair_bounds(m, e)
+        np.fill_diagonal(bound, -np.inf)
+        s = np.ldexp(m, -e)
+        s += np.ldexp(min(worst, slack), -e) - 2.0**-20  # s_ij + cut
+        pairs = np.flatnonzero(bound >= s)  # the rows i * n + j, in C order
+        del s, bound
+        step = max(1, _SLAB_ENTRIES // n)
+        for p0 in range(0, pairs.size, step):
+            i, j = np.divmod(pairs[p0:p0 + step], n)
+            deficit = m[i] - m[i, j][:, None]
+            deficit -= m[j]
+            rows = np.arange(i.size)
+            deficit[rows, i] = -np.inf  # trivial, counted above
+            deficit[rows, j] = -np.inf
+            top = deficit.max()
+            if top > slack:
                 violations += int(np.count_nonzero(deficit > slack))
-            if top > worst:
-                di, dj, k = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
-                worst, flat = top, ((i0 + di) * n + j0 + dj) * n + k
+            if top >= worst:
+                r, k = divmod(int(np.argmax(deficit)), n)
+                at = int(pairs[p0 + r]) * n + k
+                if top > worst or at < flat:
+                    worst, flat = top, at
     worst_triple = None
     if violations:
         i, j, k = np.unravel_index(flat, (n, n, n))
@@ -211,6 +239,50 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
         positive_offdiag=positive_offdiag,
         violations=violations,
         worst_triple=worst_triple,
-        worst_slack=worst,
+        worst_slack=float(worst),
         slack=slack,
     )
+
+
+def _trivial_deficits(m: np.ndarray):
+    """The deficits of the triples with j = i or k in {i, j}, as three
+    n x n arrays in turn, each with the C-order tensor position of its
+    [i, j] entry: deficit[i, i, k], then deficit[i, j, i] and
+    deficit[i, j, j] for j != i (their diagonals hold -inf)."""
+    n = m.shape[0]
+    diag = np.diag(m)
+    yield (m - diag[:, None]) - m, lambda i, k: (i * n + i) * n + k
+    back = (diag[:, None] - m) - m.T
+    np.fill_diagonal(back, -np.inf)
+    yield back, lambda i, j: (i * n + j) * n + i
+    del back  # one array at a time
+    stay = (m - m) - diag
+    np.fill_diagonal(stay, -np.inf)
+    yield stay, lambda i, j: (i * n + j) * n + j
+
+
+def _pair_bounds(m: np.ndarray, e: int) -> np.ndarray:
+    """bound[i, j] = max over k outside {i, j} of fl32(a[i, k] - a[j, k])
+    with a = float32(m 2^-e), for an n x n m, n >= 3; the diagonal is left
+    undefined.
+
+    Each unordered pair's differences are formed once, in tiles of
+    ``_TILE_ROWS`` pairs i by as many j as fit ``8 * _SLAB_ENTRIES`` entries
+    with k the slow axis: their max bounds row (i, j) and the negated min
+    row (j, i). A NaN diagonal takes k in {i, j} out of both.
+    """
+    n = m.shape[0]
+    at = np.ldexp(m.T, -e).astype(np.float32, order="C")  # at[k, i] = a[i, k]
+    np.fill_diagonal(at, np.nan)
+    bound = np.empty((n, n), np.float32)
+    wide = max(1, 8 * _SLAB_ENTRIES // (_TILE_ROWS * n))
+    buf = np.empty(n * _TILE_ROWS * min(wide, n), np.float32)
+    for i0 in range(0, n, _TILE_ROWS):
+        a_i = at[:, i0:i0 + _TILE_ROWS, None]
+        for j0 in range(i0, n, wide):
+            a_j = at[:, None, j0:j0 + wide]
+            t = buf[:n * a_i.shape[1] * a_j.shape[2]].reshape(n, a_i.shape[1], -1)
+            np.subtract(a_i, a_j, out=t)
+            bound[i0:i0 + _TILE_ROWS, j0:j0 + wide] = np.fmax.reduce(t, axis=0)
+            bound[j0:j0 + wide, i0:i0 + _TILE_ROWS] = -np.fmin.reduce(t, axis=0).T
+    return bound

@@ -26,7 +26,6 @@ from .errors import (
     GraphSimplexError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
-    RankDeficientError,
 )
 from .graphs import LaplacianMatrix
 from .resistance import FiedlerBlocks
@@ -76,16 +75,11 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     so that S^T S = Q^dagger and squared vertex distances equal the
     effective resistances.
 
-    Raises RankDeficientError when a nonzero eigenvalue rounds to <= 0, as
-    for weights spanning hundreds of decades.
+    Raises RankDeficientError where the spectrum does not resolve the
+    smallest nonzero eigenvalue (``linalg.laplacian_spectrum``).
     """
     dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
-    if not mu[-1] > 0.0:
-        raise RankDeficientError(
-            f"a nonzero Laplacian eigenvalue rounds to {mu[-1]:.3e}; "
-            "the weights span too many decades for one spectrum"
-        )
     z = dec.eigenvectors[:, :-1]
     s = z.T / np.sqrt(mu)[:, None]
     return SimplexEmbedding(vertices=s)
@@ -176,22 +170,32 @@ class AngleClassification:
         return tuple(PairAngle(*row) for row in self.pair_rows())
 
 
-def dihedral_angles(gp: GramPair, tol: Tolerances = DEFAULT) -> AngleClassification:
+def dihedral_angles(gp: GramPair | LaplacianMatrix,
+                    tol: Tolerances = DEFAULT) -> AngleClassification:
     """Classify every dihedral angle from the sign of the pseudoinverse Gram
     entry: positive = obtuse, zero = right, negative = acute.
 
     cos(pi - phi_ij) = (M^dagger)_ij / sqrt((M^dagger)_ii (M^dagger)_jj).
     The sign dead-band is relative to the largest diagonal entry; right
-    angles occur exactly (path graphs), so ties classify as right.
+    angles occur exactly (path graphs), so ties classify as right. A
+    Laplacian is the pseudoinverse Gram of its simplex, so for a
+    ``LaplacianMatrix`` the angles are read off Q without forming Q^dagger.
     """
+    mdag = gp.matrix if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
     # an exact power of two brings the diagonal near 1: the outer product
-    # cannot overflow or underflow, and normal-range results are unchanged
-    mdag = np.ldexp(gp.pinv_gram, -np.frexp(np.diag(gp.pinv_gram).max())[1])
+    # cannot overflow, and normal-range results are unchanged
+    mdag = np.ldexp(mdag, -np.frexp(np.diag(mdag).max())[1])
     diag = np.diag(mdag)
     band = tol.validation * float(diag.max())
     cosines = np.outer(diag, diag)
     np.sqrt(cosines, out=cosines)
-    np.divide(mdag, cosines, out=cosines)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(mdag, cosines, out=cosines)
+    if not np.isfinite(cosines).all():  # a diagonal product underflowed to 0
+        raise NonFiniteEntryError(
+            "a dihedral angle's cosine leaves the float range; "
+            "the diagonal spans too many decades"
+        )
     codes = np.ones(mdag.shape, dtype=np.int8)
     codes[mdag > band] = 2
     codes[mdag < -band] = 0
@@ -201,7 +205,7 @@ def dihedral_angles(gp: GramPair, tol: Tolerances = DEFAULT) -> AngleClassificat
     return AngleClassification(cosines=cosines, codes=codes)
 
 
-def is_hyperacute(gp: GramPair, tol: Tolerances = DEFAULT) -> bool:
+def is_hyperacute(gp: GramPair | LaplacianMatrix, tol: Tolerances = DEFAULT) -> bool:
     """True iff no dihedral angle is obtuse; equivalently, iff the
     pseudoinverse Gram matrix is a Laplacian."""
     return not dihedral_angles(gp, tol).has_obtuse

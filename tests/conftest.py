@@ -71,3 +71,12 @@ def connected_graphs(draw, max_nodes=10):
         links=links,
         weights=tuple(weights[l] for l in links),
     )
+
+
+# A valid 7-node tree whose weights span ~19 decades: the smallest nonzero
+# eigenvalue of one double-precision eigh is rounding noise (-5e-15, against
+# the rounding level n eps mu_max = 1.6e-5), so every answer read off the
+# spectrum would be too: negative resistances and tree counts.
+UNRESOLVED_TREE = ("0 1 0.005276392962428927\n1 2 1.6377153146406776e-09\n"
+                   "1 3 5235585105.357121\n3 4 1.2678402188748882e-05\n"
+                   "3 5 6.932329083485788e-10\n4 6 250.23256488980707\n")

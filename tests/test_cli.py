@@ -14,6 +14,7 @@ import graphsimplex
 from graphsimplex import cli
 from graphsimplex.cli import main
 
+from conftest import UNRESOLVED_TREE
 from oracles import random_graph
 
 PATH3 = "a b 1\nb c 1\n"
@@ -449,6 +450,18 @@ class TestRangeErrors:
         assert_one_error_line(code, out, err)
         assert "eigenvalue" in err
 
+    @pytest.mark.parametrize("command", ["pinv", "resistance", "embed", "blocks", "volume",
+                                         "metric-check", "verify-identity", "spanning-trees"])
+    def test_unresolved_spectrum(self, capsys, monkeypatch, command):
+        # before: exit 0 with negative resistances and tree count, or exit 1
+        # with false metric and identity failures
+        monkeypatch.setattr("sys.stdin", io.StringIO(UNRESOLVED_TREE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "-"])
+        assert_one_error_line(code, out, err)
+        assert "rounding level" in err
+
     @pytest.mark.parametrize("weight", ["1e200", "1e-200"])
     def test_tree_count_out_of_range(self, capsys, monkeypatch, weight):
         # tau = 3 w^2 is not a finite positive float
@@ -596,3 +609,29 @@ def test_fuzz_inputs(capsys, tmp_path, kind, k):
             assert re.search(r"\b(inf|nan)\b", out) is None, (command, doc, out)
         else:
             assert_one_error_line(code, out, err)
+
+
+def test_angles_read_the_laplacian(capsys, monkeypatch, eigh_calls, rng):
+    g = random_graph(rng, n=30)
+    doc = "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
+                  for (i, j), w in zip(g.links, g.weights))
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = run(capsys, ["angles", "-"])
+    assert code == 0 and err == "" and len(out.splitlines()) == 30 * 29 // 2
+    assert eigh_calls == []
+
+
+def test_angles_where_the_spectrum_is_unresolved(capsys, monkeypatch):
+    # cos(pi - phi_ij) = q_ij / sqrt(q_ii q_jj): the tree's angles need no
+    # spectrum, so they are answered where the spectral subcommands exit 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(UNRESOLVED_TREE))
+    code, out, err = run(capsys, ["angles", "-"])
+    assert code == 0 and err == ""
+    q = graphsimplex.build_laplacian(graphsimplex.parse_graph(UNRESOLVED_TREE)).matrix
+    for line in out.splitlines():
+        a, b, cosine, label = line.split("\t")
+        i, j = int(a), int(b)
+        want = q[i, j] / math.sqrt(q[i, i] * q[j, j])
+        assert float(cosine) == pytest.approx(want, rel=1e-11, abs=1e-300)
+        # the sign dead-band is 1e-9 of the largest degree
+        assert label == ("acute" if q[i, j] < -1e-9 * q.max() else "right")

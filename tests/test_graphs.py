@@ -232,6 +232,32 @@ class TestLabelIndex:
             g.index_of("zzz")
 
 
+class TestLinkArray:
+    def test_links_as_one_read_only_array(self, rng):
+        g = random_graph(rng, n=40)
+        assert g.link_array is g.link_array
+        assert g.link_array.dtype == np.intp
+        assert np.array_equal(g.link_array, np.array(g.links))
+        with pytest.raises(ValueError):
+            g.link_array[0, 0] = 1
+
+    def test_built_once_per_graph(self, rng, monkeypatch):
+        g = random_graph(rng, n=40)
+        made = []
+        array = np.array
+
+        def counting(obj, *args, **kwargs):
+            if obj is g.links:
+                made.append(1)
+            return array(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", counting)
+        graph = gs.WeightedGraph(g.labels, g.links, g.weights)
+        gs.build_laplacian(graph)
+        graph.degrees
+        assert made == [1]
+
+
 class TestLaplacianCaches:
     def test_pinv_is_read_only(self, rng):
         q = gs.build_laplacian(random_graph(rng, n=6))

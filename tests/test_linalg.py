@@ -10,6 +10,7 @@ from graphsimplex.errors import (
     RankDeficientError,
 )
 
+from conftest import UNRESOLVED_TREE
 from oracles import complete_graph, random_graph
 
 
@@ -206,3 +207,32 @@ class TestOnePseudoinverseRoute:
             q.pinv
         with pytest.raises(NonFiniteEntryError):
             gs.laplacian_pseudoinverse(q.matrix)
+
+
+class TestResolvableSpectrum:
+    def test_every_spectral_answer_refuses_the_same_way(self):
+        q = gs.build_laplacian(gs.parse_graph(UNRESOLVED_TREE))
+        answers = [lambda: q.pinv, lambda: gs.laplacian_pseudoinverse(q.matrix),
+                   lambda: gs.spanning_tree_count(q), lambda: gs.embed_from_laplacian(q),
+                   lambda: gs.resistance_matrix(q)]
+        messages = set()
+        for answer in answers:
+            with pytest.raises(RankDeficientError, match="rounding level") as info:
+                answer()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_margin_on_the_corpus(self, small_corpus):
+        # mu_(n-2) / (n eps mu_max) is at least 1e12 on ordinary weights
+        for q in small_corpus:
+            mu = q.spectrum.eigenvalues
+            assert mu[-2] / (q.n * np.finfo(float).eps * mu[0]) >= 1e12
+
+    def test_the_rule_is_a_product(self):
+        # a subnormal spectrum: n eps mu_max underflows to 0, and the cycle's
+        # pseudoinverse is refused only because it overflows
+        m = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\nc d 1e-310\n"
+                                              "a d 1e-310\n")).matrix
+        assert linalg.laplacian_spectrum(m).eigenvalues[-2] > 0.0
+        with pytest.raises(NonFiniteEntryError):
+            gs.laplacian_pseudoinverse(m)

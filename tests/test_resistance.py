@@ -301,3 +301,107 @@ def test_resistance_matches_networkx(small_corpus):
         want = np.array([[ref[a][b] for b in range(q.n)] for a in range(q.n)])
         got = gs.resistance_matrix(q)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def assert_matches_full_tensor(d, mode):
+    report = gs.check_metric(d, mode)
+    got = (report.violations, report.worst_triple, report.worst_slack)
+    want = full_tensor_metric(d, mode)
+    assert got == want
+    # == cannot tell 0.0 from -0.0
+    assert np.signbit(got[2]) == np.signbit(want[2])
+
+
+def understated_triangle():
+    """Three points whose triangle inequality fails by 2^-38 in float64 on
+    two triples, (0, 1, 2) and (2, 1, 0), while the float32 screen rounds
+    d02 down and d01 up: it bounds both rows by -7 * 2^-28 and -2^-25,
+    inside delta = 2^-20 of the trivial maximum 0 but below -2^-28."""
+    a = 0.3125 + 7 * 2.0**-28  # d01; rounds up to 0.3125 + 2^-25 in float32
+    b = 0.375  # d12; exact in float32
+    c = 0.6875 + 7 * 2.0**-28 + 2.0**-38  # d02; rounds down to 0.6875
+    return np.array([[0, a, c], [a, 0, b], [c, b, 0]])
+
+
+class TestMetricScreen:
+    def test_deficit_the_float32_bound_understates(self):
+        d = understated_triangle()
+        f32 = np.float32
+        assert (d[0, 2] - d[0, 1]) - d[1, 2] == 2.0**-38
+        assert float(f32(d[0, 2]) - f32(d[1, 2])) - d[0, 1] == -7 * 2.0**-28
+        assert float(f32(d[2, 0]) - f32(d[1, 0])) - d[2, 1] == -(2.0**-25)
+        report = gs.check_metric(d, "plain")
+        assert report.violations == 2 and report.worst_triple == (0, 1, 2)
+        assert report.worst_slack == 2.0**-38
+        for mode in ("plain", "sqrt"):
+            assert_matches_full_tensor(d, mode)
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_power_of_two_scaling(self, power, rng):
+        inputs = [understated_triangle(), *metric_inputs(17, rng), *metric_inputs(40, rng)]
+        for d in inputs:
+            for mode in ("plain", "sqrt"):
+                assert_matches_full_tensor(np.ldexp(d, power), mode)
+
+    def test_nonzero_diagonal_and_negative_entries(self, rng):
+        for n in (3, 9, 30):
+            a = rng.normal(size=(n, n))
+            d = a + a.T  # about half the entries negative
+            d[0, 1] = d[1, 0] = -2.0 * d.max()  # so max|d| > 1.1 max(d)
+            scale = np.abs(d).max()
+            for sign in (1.0, -1.0, 0.0):
+                # within the allowed 1e-12 max|d|; a negative one exceeds the
+                # slack, 1e-12 max(d), so the trivial triples (i, j, j) violate
+                np.fill_diagonal(d, sign * 1e-12 * scale * rng.uniform(0.6, 1.0, n))
+                for mode in ("plain", "sqrt"):
+                    assert_matches_full_tensor(d, mode)
+            np.fill_diagonal(d, 0.0)
+            assert_matches_full_tensor(np.abs(d), "plain")  # positive, not a metric
+
+    def test_trivial_triple_ties_an_earlier_one(self):
+        # sqrt mode: node 3 sits at distance 0 from node 2 (d23 < 0) and
+        # sqrt(d22) = eps = 2^-21, so the trivial triple (2, 3, 2) has
+        # deficit eps, as do (0, 1, 2) and (0, 1, 3), which come first
+        eps = 2.0**-21
+        m = np.array([[0, 0.5, 0.75 + eps, 0.75 + eps], [0.5, 0, 0.25, 0.25],
+                      [0.75 + eps, 0.25, eps, 0], [0.75 + eps, 0.25, 0, 0]])
+        d = m * m
+        d[2, 3] = d[3, 2] = -1.0
+        report = gs.check_metric(d, "sqrt")
+        assert report.worst_slack == eps and report.worst_triple == (0, 1, 2)
+        for mode in ("plain", "sqrt"):
+            assert_matches_full_tensor(d, mode)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewest_nodes(self, n, rng):
+        for d in [*metric_inputs(n, rng), np.zeros((n, n))]:
+            for mode in ("plain", "sqrt"):
+                assert_matches_full_tensor(d, mode)
+        if n == 3:
+            assert_matches_full_tensor(understated_triangle(), "plain")
+
+    @pytest.mark.parametrize("slab", [1, 40, 1000])
+    def test_chunk_sizes(self, slab, rng, monkeypatch):
+        monkeypatch.setattr(resistance, "_SLAB_ENTRIES", slab)
+        d = np.ones((23, 23))
+        np.fill_diagonal(d, 0.0)
+        d[3, 20] = d[20, 3] = 2.0  # ties with the trivial maximum, 0
+        d[5, 7] = d[7, 5] = 2.5  # violations
+        inputs = [understated_triangle(), d, *metric_inputs(23, rng)]
+        for d in inputs:
+            for mode in ("plain", "sqrt"):
+                assert_matches_full_tensor(d, mode)
+
+    @pytest.mark.parametrize("slab", [1, 40, None])
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_pair_bounds_match_every_triple(self, n, slab, rng, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(resistance, "_SLAB_ENTRIES", slab)
+        a = rng.uniform(-1.0, 1.0, (n, n)).astype(np.float32)
+        t = a[:, None, :] - a[None, :, :]  # t[i, j, k] = fl32(a[i, k] - a[j, k])
+        i, j, k = np.indices(t.shape)
+        t[(k == i) | (k == j)] = -np.inf
+        want = t.max(axis=2)
+        got = resistance._pair_bounds(a.astype(float), 0)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(got[off], want[off])
