@@ -3,7 +3,9 @@
 
 Samples random connected weighted graphs, then reports the distribution of
 the block-identity residual, the Schur resistance-preservation residual,
-and the round-trip error Q -> embedding -> canonical Gram -> pinv -> Q.
+the quotient-property residual relative to the largest diagonal entry of
+the one-shot reduction, and the round-trip error
+Q -> embedding -> canonical Gram -> pinv -> Q.
 
 Usage:
     python3 scripts/residual_report.py [--graphs N] [--max-nodes N] [--seed S]
@@ -35,7 +37,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    identity, preservation, round_trip = [], [], []
+    identity, preservation, quotient, round_trip = [], [], [], []
     for _ in range(args.graphs):
         q = gs.build_laplacian(random_graph(rng, max_n=args.max_nodes))
         identity.append(gs.verify_fiedler_identity(q).residual)
@@ -43,6 +45,10 @@ def main() -> int:
             k = int(rng.integers(2, q.n))
             keep = sorted(rng.choice(q.n, size=k, replace=False).tolist())
             preservation.append(gs.check_resistance_preservation(q, keep).residual)
+            sub = keep[: max(2, k // 2)]
+            report = gs.check_quotient(q, keep, sub)
+            one_shot = gs.schur_complement(q, sub).matrix
+            quotient.append(report.residual / float(np.diag(one_shot).max()))
         gp = gs.canonical_gram(gs.embed_from_laplacian(q))
         scale = float(np.abs(q.matrix).max())
         round_trip.append(float(np.abs(gp.pinv_gram - q.matrix).max()) / scale)
@@ -50,6 +56,7 @@ def main() -> int:
     print(f"corpus: {args.graphs} graphs, n <= {args.max_nodes}, seed {args.seed}")
     summarize("block identity residual", identity)
     summarize("resistance preservation", preservation)
+    summarize("quotient (relative)", quotient)
     summarize("round trip (relative)", round_trip)
     return 0
 

@@ -159,8 +159,10 @@ def parse_graph(text: str) -> WeightedGraph:
 
 class LaplacianMatrix:
     """An n x n Laplacian with a cached symmetric part, pseudoinverse and
-    eigendecomposition, all held as read-only arrays, and one cached
-    ``ValidationReport`` per ``Tolerances``.
+    eigendecomposition, all held as read-only arrays, one cached
+    ``ValidationReport`` per ``Tolerances``, and its most recent Kron
+    reduction (``schur.schur_complement``), keyed by kept nodes and
+    ``Tolerances``.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
     Schur reductions); use ``from_matrix`` to validate arbitrary input.
@@ -172,6 +174,7 @@ class LaplacianMatrix:
         self.matrix = m
         self.n = m.shape[0]
         self._reports: dict[Tolerances, ValidationReport] = {}
+        self._reduction: tuple[tuple, LaplacianMatrix] | None = None
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerances = DEFAULT) -> "LaplacianMatrix":

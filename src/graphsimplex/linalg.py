@@ -76,6 +76,28 @@ def squared_distances(gram: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows per diagonal leaf of ``lower_solve``: a factor of at most this many
+# rows goes to one ``np.linalg.solve``, bitwise as a direct call would.
+_LEAF = 64
+
+
+def lower_solve(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a nonsingular lower-triangular ``ell``, by recursive
+    halving: x1 = L11^{-1} b1, then x2 = L22^{-1} (b2 - L21 x1).
+
+    NumPy has no triangular solve, and ``np.linalg.solve`` factors its
+    matrix by a pivoted LU; here that runs only on diagonal leaves of at
+    most ``_LEAF`` rows, and everything else is one GEMM per level.
+    """
+    k = ell.shape[0]
+    if k <= _LEAF:
+        return np.linalg.solve(ell, b)
+    h = k // 2
+    x1 = lower_solve(ell[:h, :h], b[:h])
+    x2 = lower_solve(ell[h:, h:], b[h:] - ell[h:, :h] @ x1)
+    return np.concatenate((x1, x2))
+
+
 def double_center(m: np.ndarray) -> np.ndarray:
     """J M J with J = I - uu^T/n, for the symmetric part of M, in O(n^2):
     subtract the row means from the rows and from the columns and add

@@ -87,16 +87,18 @@ def _eliminate_panel(a: np.ndarray, k: int, tol: Tolerances) -> None:
             "eliminated block is not positive definite; input is not a "
             "valid connected Laplacian"
         ) from exc
-    x = np.linalg.solve(ell, a[k:, :k])
+    x = linalg.lower_solve(ell, a[k:, :k])
     core = a[:k, :k]
     core -= x.T @ x
     _canonicalize_in_place(core, tol)
 
 
 # Nodes per panel of ``_eliminate_in_order``. Eliminating 750 of 1000
-# nodes on one BLAS thread took ~2.5 s one node at a time and ~75 ms at
-# 64; wider panels gain little (~57 ms at 256) and canonicalize less often.
-_PANEL = 64
+# nodes on one BLAS thread took ~2.5 s one node at a time. With the
+# forward substitution of ``linalg.lower_solve``, ``check_quotient`` on the
+# bench's n = 1000 graphs took 107, 92, 78 and 75 ms at 64, 128, 256 and
+# 512: past 256 the gain is small, and canonicalization runs less often.
+_PANEL = 256
 
 
 def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
@@ -124,17 +126,26 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
     ``keep``. Keeping every node returns Q unchanged; otherwise the whole
     complement is eliminated as one panel (``_eliminate_panel``), which
     raises GraphSimplexError when Q_VcVc is not positive definite.
+
+    Q keeps its most recent reduction, so asking again for the same
+    ``keep``, in the same order and with the same ``tol``, returns that
+    reduction without factoring anything.
     """
-    m = np.asarray(q.matrix)
     idx = linalg.check_subset(keep, q.n)
+    key = (tuple(idx), tol)
+    if q._reduction is not None and q._reduction[0] == key:
+        return q._reduction[1]
     kept = set(idx)
     elim = [i for i in range(q.n) if i not in kept]
     if not elim:
-        return LaplacianMatrix(m[np.ix_(idx, idx)])
-    perm = idx + elim
-    buf = q.symmetric[np.ix_(perm, perm)]
-    _eliminate_panel(buf, len(idx), tol)
-    return LaplacianMatrix(buf[:len(idx), :len(idx)])
+        reduced = LaplacianMatrix(np.asarray(q.matrix)[np.ix_(idx, idx)])
+    else:
+        perm = idx + elim
+        buf = q.symmetric[np.ix_(perm, perm)]
+        _eliminate_panel(buf, len(idx), tol)
+        reduced = LaplacianMatrix(buf[:len(idx), :len(idx)])
+    q._reduction = (key, reduced)
+    return reduced
 
 
 def kron_reduce_single(q: LaplacianMatrix, node: int,
@@ -196,9 +207,10 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
     if len(w_idx) < 2:
         raise FaceTooSmallError("W needs at least 2 nodes")
 
+    # stage one first: a reduction onto V that Q still keeps is reused
+    stage_one = schur_complement(q, v_idx, tol)
     one_shot = schur_complement(q, w_idx, tol).matrix
 
-    stage_one = schur_complement(q, v_idx, tol)
     w_in_v = [v_pos[i] for i in w_idx]
     staged = schur_complement(stage_one, w_in_v, tol).matrix
     staged_residual = float(np.abs(one_shot - staged).max())
@@ -236,7 +248,7 @@ def check_resistance_preservation(q: LaplacianMatrix, keep: Sequence[int],
         raise FaceTooSmallError("need at least 2 kept nodes")
     reduced = schur_complement(q, idx, tol)
     omega_reduced = resistance_matrix(reduced)
-    omega_restricted = resistance_matrix(q)[np.ix_(idx, idx)]
+    omega_restricted = linalg.squared_distances(q.pinv[np.ix_(idx, idx)])
     return PreservationReport(
         residual=float(np.abs(omega_reduced - omega_restricted).max())
     )

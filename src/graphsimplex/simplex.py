@@ -181,21 +181,29 @@ def dihedral_angles(gp: GramPair | LaplacianMatrix,
     Laplacian is the pseudoinverse Gram of its simplex, so for a
     ``LaplacianMatrix`` the angles are read off Q without forming Q^dagger.
     """
-    mdag = gp.matrix if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
+    m = gp.matrix if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
     # an exact power of two brings the diagonal near 1: the outer product
     # cannot overflow, and normal-range results are unchanged
-    mdag = np.ldexp(mdag, -np.frexp(np.diag(mdag).max())[1])
+    mdag = np.ldexp(m, -np.frexp(np.diag(m).max())[1])
     diag = np.diag(mdag)
     band = tol.validation * float(diag.max())
     cosines = np.outer(diag, diag)
-    np.sqrt(cosines, out=cosines)
+    # A product below the normal range has lost bits or underflowed to 0, as
+    # where the diagonal spans more than ~300 decades. Such a cosine is taken
+    # in the input's units, one square root at a time, which cannot overflow
+    # since |m_ij| <= min(m_ii, m_jj) in a Laplacian. On a nonnegative
+    # diagonal the least product is the least entry squared, so the n x n
+    # array is searched only when that one is low.
+    tiny, least = np.finfo(float).tiny, float(diag.min())
+    low = np.nonzero(cosines < tiny) if least < 0 or least * least < tiny else None
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(cosines, out=cosines)
         np.divide(mdag, cosines, out=cosines)
-    if not np.isfinite(cosines).all():  # a diagonal product underflowed to 0
-        raise NonFiniteEntryError(
-            "a dihedral angle's cosine leaves the float range; "
-            "the diagonal spans too many decades"
-        )
+        if low is not None:
+            root = np.sqrt(np.diag(m))
+            cosines[low] = m[low] / root[low[0]] / root[low[1]]
+    if not np.isfinite(cosines).all():  # a zero or negative diagonal entry
+        raise NonFiniteEntryError("a dihedral angle's cosine leaves the float range")
     codes = np.ones(mdag.shape, dtype=np.int8)
     codes[mdag > band] = 2
     codes[mdag < -band] = 0

@@ -40,6 +40,13 @@ def eigvalsh_calls(monkeypatch):
     return record_shapes(monkeypatch, "eigvalsh")
 
 
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.cholesky, the
+    factorization behind every Kron reduction, during the test."""
+    return record_shapes(monkeypatch, "cholesky")
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """Thirty random connected graphs (n <= 20) shared by property tests."""

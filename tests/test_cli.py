@@ -621,6 +621,31 @@ def test_angles_read_the_laplacian(capsys, monkeypatch, eigh_calls, rng):
     assert eigh_calls == []
 
 
+# the test_fuzz_inputs[soup-16] document, and a tree whose weights span ~500
+# decades: scaled by a power of two, products of their small diagonal
+# entries fall below the normal range
+MIXED_SCALE_ANGLES = ["1 2 1\n1 2 1e308\n1 0 1\n0 3 1\n",
+                      "4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n"
+                      "2 3 1.9e206\n1 5 1.3e-300\n"]
+
+
+@pytest.mark.parametrize("doc", MIXED_SCALE_ANGLES, ids=["soup-16", "tree-500-decades"])
+def test_angles_across_the_float_range(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["angles", "-", "--format", "json"])
+    assert code == 0 and err == ""
+    g = graphsimplex.parse_graph(doc)
+    q = graphsimplex.build_laplacian(g).matrix.tolist()
+    pairs = json.loads(out)["pairs"]
+    assert len(pairs) == g.n * (g.n - 1) // 2
+    for pair in pairs:
+        i, j = g.index_of(pair["i"]), g.index_of(pair["j"])
+        want = q[i][j] / (math.sqrt(q[i][i]) * math.sqrt(q[j][j]))
+        assert pair["cosine"] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_angles_where_the_spectrum_is_unresolved(capsys, monkeypatch):
     # cos(pi - phi_ij) = q_ij / sqrt(q_ii q_jj): the tree's angles need no
     # spectrum, so they are answered where the spectral subcommands exit 2

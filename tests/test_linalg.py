@@ -10,7 +10,7 @@ from graphsimplex.errors import (
     RankDeficientError,
 )
 
-from conftest import UNRESOLVED_TREE
+from conftest import UNRESOLVED_TREE, record_shapes
 from oracles import complete_graph, random_graph
 
 
@@ -236,3 +236,38 @@ class TestResolvableSpectrum:
         assert linalg.laplacian_spectrum(m).eigenvalues[-2] > 0.0
         with pytest.raises(NonFiniteEntryError):
             gs.laplacian_pseudoinverse(m)
+
+
+def spd_block(rng, b):
+    a = rng.standard_normal((b, b))
+    return a @ a.T + b * np.eye(b)
+
+
+def grounded_laplacian_block(rng, b):
+    """A random connected graph's Laplacian on b + 1 nodes with its last
+    node grounded, which makes it positive definite."""
+    return gs.build_laplacian(random_graph(rng, n=b + 1)).matrix[:-1, :-1]
+
+
+class TestLowerSolve:
+    @pytest.mark.parametrize("block", [spd_block, grounded_laplacian_block])
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 129, 500])
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_matches_lu_solve(self, block, b, k):
+        rng = np.random.default_rng([b, k])
+        ell = np.linalg.cholesky(block(rng, b))
+        rhs = rng.standard_normal((b, k))
+        got = linalg.lower_solve(ell, rhs)
+        want = np.linalg.solve(ell, rhs)
+        assert got.shape == want.shape
+        if b <= linalg._LEAF:
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_solves_only_diagonal_leaves(self, monkeypatch, rng):
+        # one LU per leaf of at most _LEAF rows, each on a diagonal block
+        solve_calls = record_shapes(monkeypatch, "solve")
+        ell = np.linalg.cholesky(spd_block(rng, 500))
+        linalg.lower_solve(ell, rng.standard_normal((500, 3)))
+        assert sum(rows for rows, _ in solve_calls) == 500
+        assert all(rows == cols <= linalg._LEAF for rows, cols in solve_calls)

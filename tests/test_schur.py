@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,15 @@ from graphsimplex.errors import (
     TooSmallError,
 )
 
-from graphsimplex.schur import _PANEL, _canonicalize, _eliminate_in_order
+from graphsimplex import linalg
+from graphsimplex.schur import (
+    _PANEL,
+    _canonicalize,
+    _canonicalize_in_place,
+    _eliminate_in_order,
+)
 
-from conftest import connected_graphs
+from conftest import connected_graphs, record_shapes
 from oracles import complete_graph, path_graph, random_graph, unit_graph
 
 
@@ -274,11 +282,94 @@ class TestPanelElimination:
         assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
         assert report.incremental_residual <= 1e-12 * np.abs(expected).max()
 
+    def test_ragged_panel_after_full_ones(self):
+        # two full panels, then 37 nodes
+        n = 2 * _PANEL + 40
+        rng = np.random.default_rng(n)
+        q = gs.build_laplacian(random_graph(rng, n=n))
+        w = sorted(rng.choice(n, size=3, replace=False).tolist())
+        order = tuple(rng.permutation([i for i in range(n) if i not in w]).tolist())
+        expected = folded_single_eliminations(q, w, order)
+        incremental = _eliminate_in_order(q, w, order, DEFAULT)
+        assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_not_positive_definite_pivot_rejected(self):
         # the isolated node c makes the eliminated panel singular
         q = gs.LaplacianMatrix(np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], float))
         with pytest.raises(GraphSimplexError, match="not positive definite"):
             _eliminate_in_order(q, [0, 1], [2], DEFAULT)
+
+
+def lu_route_reduction(q, keep):
+    """Q reduced onto ``keep`` with the whole Cholesky factor of the
+    eliminated block passed to one np.linalg.solve, a pivoted LU: the
+    reference for forward substitution."""
+    elim = [i for i in range(q.n) if i not in keep]
+    perm = list(keep) + elim
+    buf = q.symmetric[np.ix_(perm, perm)]
+    k = len(keep)
+    x = np.linalg.solve(np.linalg.cholesky(buf[k:, k:]), buf[k:, :k])
+    core = buf[:k, :k]
+    core -= x.T @ x
+    _canonicalize_in_place(core, DEFAULT)
+    return core
+
+
+class TestForwardSubstitution:
+    # 280, 150 and 20 eliminated nodes: the last fits in one leaf
+    @pytest.mark.parametrize("k", [20, 150, 280])
+    def test_matches_the_lu_route(self, k):
+        rng = np.random.default_rng(k)
+        q = gs.build_laplacian(random_graph(rng, n=300))
+        keep = rng.permutation(300)[:k].tolist()
+        got = gs.schur_complement(q, keep).matrix
+        want = lu_route_reduction(q, keep)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        if q.n - k <= linalg._LEAF:
+            assert np.array_equal(got, want)
+
+    def test_reductions_solve_only_leaves(self, monkeypatch):
+        # every pivoted LU inside a reduction is on one leaf of lower_solve
+        rng = np.random.default_rng(3)
+        q = gs.build_laplacian(random_graph(rng, n=300))
+        v = rng.permutation(300)[:100].tolist()
+        solve_calls = record_shapes(monkeypatch, "solve")
+        gs.schur_complement(q, v)
+        gs.check_resistance_preservation(q, v)
+        gs.check_quotient(q, v, v[:30], seed=3)
+        assert solve_calls
+        assert all(rows <= linalg._LEAF for rows, _ in solve_calls)
+
+
+class TestKeptReduction:
+    @pytest.fixture
+    def graph(self):
+        rng = np.random.default_rng(40)
+        q = gs.build_laplacian(random_graph(rng, n=40))
+        v = rng.permutation(40)[:20].tolist()
+        return q, v, v[:5]
+
+    def test_one_factorization_of_v(self, graph, cholesky_calls):
+        q, v, w = graph
+        reduced = gs.schur_complement(q, v)
+        gs.check_resistance_preservation(q, v)
+        assert gs.schur_complement(q, v) is reduced
+        gs.check_quotient(q, v, w)
+        # V's 20 eliminated nodes, then check_quotient's one-shot reduction
+        # onto W, its second stage from V, and its seeded order in one panel
+        assert cholesky_calls == [(20, 20), (35, 35), (15, 15), (35, 35)]
+
+    def test_another_tol_or_order_misses(self, graph, cholesky_calls):
+        q, v, _ = graph
+        first = gs.schur_complement(q, v)
+        gs.schur_complement(q, v, replace(DEFAULT, clamp=1e-13))
+        reversed_order = gs.schur_complement(q, v[::-1])
+        assert gs.schur_complement(q, v[::-1]) is reversed_order
+        assert len(cholesky_calls) == 3
+        # one slot: the reversed order displaced the first reduction
+        again = gs.schur_complement(q, v)
+        assert len(cholesky_calls) == 4
+        assert again is not first and np.array_equal(again.matrix, first.matrix)
 
 
 class TestResistancePreservation:
