@@ -24,6 +24,9 @@ from oracles import random_graph
 
 
 def summarize(name: str, values: list[float]) -> None:
+    if not values:
+        print(f"{name:28s} n/a (0 samples)")
+        return
     arr = np.array(values)
     print(f"{name:28s} median {np.median(arr):9.2e}   "
           f"p95 {np.quantile(arr, 0.95):9.2e}   max {arr.max():9.2e}")

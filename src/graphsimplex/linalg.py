@@ -98,6 +98,24 @@ def lower_solve(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((x1, x2))
 
 
+def lower_inverse(ell: np.ndarray) -> np.ndarray:
+    """L^{-1} for a nonsingular lower-triangular ``ell``, by recursive
+    halving: W11 = L11^{-1}, W22 = L22^{-1}, W21 = -W22 L21 W11.
+
+    As in ``lower_solve``, a factor of at most ``_LEAF`` rows goes to one
+    ``np.linalg.solve`` against the identity, and everything else is GEMM.
+    """
+    k = ell.shape[0]
+    if k <= _LEAF:
+        return np.linalg.solve(ell, np.eye(k))
+    h = k // 2
+    w = np.zeros_like(ell)
+    w[:h, :h] = lower_inverse(ell[:h, :h])
+    w[h:, h:] = lower_inverse(ell[h:, h:])
+    np.matmul(w[h:, h:], -(ell[h:, :h] @ w[:h, :h]), out=w[h:, :h])
+    return w
+
+
 def double_center(m: np.ndarray) -> np.ndarray:
     """J M J with J = I - uu^T/n, for the symmetric part of M, in O(n^2):
     subtract the row means from the rows and from the columns and add
@@ -179,13 +197,75 @@ def laplacian_pseudoinverse(q) -> np.ndarray:
     return deflated_inverse(laplacian_spectrum(symmetric_part(as_square_array(q))), -1)
 
 
+def _shifted_cholesky_pinv(m: np.ndarray, tol: float) -> np.ndarray | None:
+    """M^dagger as ((S + cP)^{-1} - P/c) 2^-e from one Cholesky
+    factorization, where S = M 2^-e, e the exponent of M's largest diagonal
+    entry, P = uu^T/n and c is the power of two at or above |S|_inf; None
+    unless every bound derived in ``pinv_kernel_u`` is met."""
+    n = m.shape[0]
+    top = float(np.diag(m).max())
+    if not top > 0.0:
+        return None
+    d, e = np.frexp(top)  # d = top 2^-e, in [1/2, 1)
+    with np.errstate(all="ignore"):  # an overflow fails a bound below
+        s = np.ldexp(m, -e)
+        norm = float(np.abs(s).sum(axis=1).max())
+        if not (np.abs(s.sum(axis=1)).max() <= 0.25 * tol * d
+                and n * np.finfo(float).eps * norm <= tol / 16.0 * d):
+            return None
+        shift = float(np.ldexp(1.0, np.frexp(norm)[1])) / n  # c/n, c = 2^k >= norm
+        s += shift
+        try:
+            ell = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return None
+        del s
+        w = lower_inverse(ell)
+        del ell
+        x = w.T @ w  # one SYRK, exactly symmetric
+        del w
+        if not norm * float(np.abs(x).sum(axis=1).max()) <= 0.25 / tol:
+            return None
+        x -= 1.0 / (shift * n * n)
+        np.ldexp(x, -e, out=x)
+    return x if np.isfinite(x).all() else None
+
+
 def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Pseudoinverse of a PSD matrix whose kernel is exactly span{u}.
 
-    Deflates the single zero eigenvalue found by eigendecomposition; any
-    further (relative) zero eigenvalue raises ``RankDeficientError``.
+    A shifted Cholesky factorization answers wherever it can certify the
+    eigen rule below; otherwise the single zero eigenvalue found by
+    eigendecomposition is deflated, and any further (relative) zero
+    eigenvalue raises ``RankDeficientError``.
     """
-    dec = eigh(a)
+    m = symmetrize(a)
+    # The eigen rule passes iff exactly one eigenvalue has |l| <= t mu_max
+    # (t = tol.zero_eigenvalue). In units of 2^e, S = M 2^-e has largest
+    # diagonal d in [1/2, 1) and N = |S|_inf; d <= mu_max <= N, since a
+    # diagonal entry is a Rayleigh quotient. With P = uu^T/n and the power
+    # of two c >= N, the screen requires
+    #   (1) |S u|_inf <= d t/4,  (2) Cholesky of A = S + cP succeeds,
+    #   (3) X = W^T W with W = L^{-1},  (4) N |X|_inf <= 1/(4t),
+    # and n eps N <= d t/16, so that every rounding error below, O(n eps N),
+    # is at most a sixteenth of the cut.
+    # Exactly, (4) gives lambda_min(A) = 1/|A^{-1}|_2 >= 1/|X|_inf >= 4tN,
+    # as |.|_2 <= |.|_inf for a symmetric matrix. Writing S = S0 + E with
+    # S0 = (I-P) S (I-P), which has u in its kernel, |E|_2 <= 2|S u|_2/sqrt(n)
+    # <= t d/2 <= t mu_max/2 by (1). A0 = S0 + cP has eigenvalue c >= N on u
+    # and S0's on u-perp, so by Weyl those are >= 4tN - t mu_max/2 >= 3.5tN;
+    # moving back to S by E leaves one eigenvalue within t mu_max/2 of 0
+    # and n - 1 at or above 3tN >= 3t mu_max. So the cut t mu_max has a
+    # factor 2 to spare on each side. A Cholesky backward error of
+    # O(n eps N) in A, the forward error of X, relative n eps cond(A) <=
+    # 3 n eps /(4t) <= 3/64 by (4), and eigh's own O(n eps N) error in each
+    # eigenvalue all fit in that margin, so the eigen route would find
+    # exactly the one zero, and its answer, S^dagger 2^-e, is
+    # (A^{-1} - P/c) 2^-e = (X - 1/(cn)) 2^-e up to the same errors.
+    p = _shifted_cholesky_pinv(m, tol.zero_eigenvalue)
+    if p is not None:
+        return p
+    dec = eigh(m)
     vals = dec.eigenvalues
     mu_max = float(vals.max(initial=0.0))
     if mu_max <= 0.0:

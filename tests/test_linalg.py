@@ -5,6 +5,7 @@ import graphsimplex as gs
 from graphsimplex import linalg
 from graphsimplex.errors import (
     AsymmetricError,
+    GraphSimplexError,
     NonFiniteEntryError,
     NonSquareError,
     RankDeficientError,
@@ -271,3 +272,112 @@ class TestLowerSolve:
         linalg.lower_solve(ell, rng.standard_normal((500, 3)))
         assert sum(rows for rows, _ in solve_calls) == 500
         assert all(rows == cols <= linalg._LEAF for rows, cols in solve_calls)
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("block", [spd_block, grounded_laplacian_block])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 129, 500])
+    def test_matches_lu_inverse(self, block, k):
+        rng = np.random.default_rng([k, 2])
+        ell = np.linalg.cholesky(block(rng, k))
+        got = linalg.lower_inverse(ell)
+        want = np.linalg.inv(ell)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, np.tril(got))
+        if k <= linalg._LEAF:
+            assert np.array_equal(got, np.linalg.solve(ell, np.eye(k)))
+
+    def test_solves_only_diagonal_leaves(self, monkeypatch, rng):
+        solve_calls = record_shapes(monkeypatch, "solve")
+        linalg.lower_inverse(np.linalg.cholesky(spd_block(rng, 500)))
+        assert sum(rows for rows, _ in solve_calls) == 500
+        assert all(rows == cols <= linalg._LEAF for rows, cols in solve_calls)
+
+
+def outcome(m, tol=gs.config.DEFAULT):
+    """pinv_kernel_u's answer, or the type and message of its error."""
+    try:
+        return gs.pinv_kernel_u(m, tol)
+    except GraphSimplexError as exc:
+        return type(exc), str(exc)
+
+
+def eigen_outcome(m, tol=gs.config.DEFAULT):
+    """``outcome`` with the Cholesky screen off: deflated_inverse(eigh(m), .)
+    under the eigen rule, as the only route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_shifted_cholesky_pinv", lambda m, tol: None)
+        return outcome(m, tol)
+
+
+def kernel_u_matrix(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues, the first on u."""
+    n = len(eigenvalues)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+    return linalg.symmetric_part((basis * eigenvalues) @ basis.T)
+
+
+class TestCholeskyScreen:
+    def test_same_verdict_as_the_eigen_rule(self):
+        # n 2-39, condition up to 1e13, scale 10^+-250; one in six has a
+        # second zero, one in six a negative eigenvalue
+        rng = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        certified = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 40))
+            cond = 10.0 ** rng.uniform(0, 13)
+            mu = np.exp(rng.uniform(-np.log(cond), 0, n - 1))
+            mu[0] = 1.0
+            kind = rng.integers(0, 6)
+            if kind == 0 and n > 2:
+                mu[rng.integers(1, n - 1)] = 0.0
+            elif kind == 1:
+                mu[rng.integers(0, n - 1)] *= -1.0
+            scale = 10.0 ** rng.uniform(-250, 250)
+            m = kernel_u_matrix(rng, np.concatenate([[0.0], rng.permutation(mu)]) * scale)
+            certified += linalg._shifted_cholesky_pinv(m, 1e-10) is not None
+            got, want = outcome(m), eigen_outcome(m)
+            if isinstance(want, tuple) or isinstance(got, tuple):
+                assert isinstance(got, tuple) and isinstance(want, tuple) and got == want
+                continue
+            assert np.array_equal(got, got.T)
+            spectrum = np.sort(np.abs(np.linalg.eigvalsh(m)))[1:]
+            rel = np.abs(got - want).max() / np.abs(want).max()
+            assert rel <= 20 * spectrum[-1] / spectrum[0] * eps
+        assert certified >= 1000
+
+    @pytest.mark.parametrize("case", ["positive definite", "two components",
+                                      "indefinite", "condition 5e9", "overflowing"])
+    def test_inputs_left_to_the_eigen_route(self, case, eigh_calls, rng):
+        if case == "positive definite":
+            m = spd_block(rng, 6)
+        elif case == "two components":
+            k2 = np.array([[1, -1], [-1, 1]], float)
+            m = np.block([[k2, np.zeros((2, 2))], [np.zeros((2, 2)), k2]])
+        elif case == "indefinite":
+            m = kernel_u_matrix(rng, [0.0, 3.0, 2.0, -1.0, -2.0, -5.0])
+        elif case == "condition 5e9":
+            m = kernel_u_matrix(rng, [0.0, 1.0, 0.5, 0.3, 2e-10])
+        else:  # the pseudoinverse has entries near 1e309
+            m = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\n")).matrix
+        assert linalg._shifted_cholesky_pinv(m, 1e-10) is None
+        got = outcome(m)
+        assert eigh_calls == [m.shape]
+        if case == "positive definite":
+            assert got == (RankDeficientError,
+                           "expected exactly one zero eigenvalue, found 0")
+        elif case == "two components":
+            assert got[0] is RankDeficientError and "found 2" in got[1]
+        elif case == "overflowing":
+            assert got == (NonFiniteEntryError,
+                           "the pseudoinverse overflows the float range")
+        else:
+            assert np.array_equal(got, eigen_outcome(m))
+
+    def test_canonical_gram_factors_once(self, eigh_calls, cholesky_calls, rng):
+        q = gs.build_laplacian(random_graph(rng, n=30))
+        gp = gs.canonical_gram(gs.embed_from_laplacian(q))
+        assert eigh_calls == [(30, 30)]  # the spectrum
+        assert cholesky_calls == [(30, 30)]
+        assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-12 * np.abs(q.matrix).max()
