@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -27,29 +28,54 @@ from .graphs import (
 
 TSV_DIGITS = 12
 JSON_DIGITS = 17
+# angle lines per write: one write per line doubles the TSV time, and one
+# write for all of them holds n(n-1)/2 lines in memory
+ANGLE_LINES_PER_WRITE = 4096
 
 
 def _fmt(value: float, digits: int) -> str:
     return format(float(value), f".{digits}g")
 
 
-# one %-template per row: "%.12g" % v prints exactly what _fmt(v, 12) does
+def _matrix_document(labels, matrix, fmt: str):
+    """The matrix as (head, pieces, sep, tail), which stands for the text
+    head + sep.join(pieces) + tail, with one piece per row, made lazily."""
+    # one %-template per row: "%.12g" % v prints exactly what _fmt(v, 12) does
+    rows = np.atleast_2d(matrix)
+    if fmt == "json":
+        row = "[" + ", ".join([f"%.{JSON_DIGITS}g"] * rows.shape[1]) + "]"
+        return ('{"labels": %s, "rows": [' % json.dumps(list(labels)),
+                (row % tuple(r.tolist()) for r in rows), ", ", "]}\n")
+    row = "\t".join([f"%.{TSV_DIGITS}g"] * rows.shape[1]) + "\n"
+    return "\t".join(labels) + "\n", (row % tuple(r.tolist()) for r in rows), "", ""
+
+
+def _joined(head, pieces, sep, tail) -> str:
+    return head + sep.join(pieces) + tail
+
+
 def _matrix_tsv(labels, matrix) -> str:
-    rows = np.atleast_2d(matrix).tolist()
-    row = "\t".join([f"%.{TSV_DIGITS}g"] * len(rows[0]))
-    return "\n".join(["\t".join(labels)] + [row % tuple(r) for r in rows]) + "\n"
+    return _joined(*_matrix_document(labels, matrix, "tsv"))
 
 
 def _matrix_json(labels, matrix) -> str:
-    rows = np.atleast_2d(matrix).tolist()
-    row = "[" + ", ".join([f"%.{JSON_DIGITS}g"] * len(rows[0])) + "]"
-    body = ", ".join(row % tuple(r) for r in rows)
-    return '{"labels": %s, "rows": [%s]}\n' % (json.dumps(list(labels)), body)
+    return _joined(*_matrix_document(labels, matrix, "json"))
+
+
+def _write(head, pieces, sep, tail, per_write: int = 1) -> None:
+    """Write _joined(head, pieces, sep, tail) to stdout, ``per_write``
+    pieces at a time, so only that many are held at once."""
+    out = sys.stdout
+    out.write(head)
+    lead = ""
+    while chunk := list(islice(pieces, per_write)):
+        out.write(lead + sep.join(chunk))
+        lead = sep
+    out.write(tail)
 
 
 def _emit_matrix(args, labels, matrix) -> None:
-    writer = _matrix_json if args.format == "json" else _matrix_tsv
-    sys.stdout.write(writer(labels, matrix))
+    _write(*_matrix_document(labels, matrix, args.format))
 
 
 def _read_graph(path: str) -> WeightedGraph:
@@ -99,18 +125,15 @@ def cmd_angles(args, g, q) -> int:
     rows = cls.pair_rows()
     if args.format == "json":
         names = [json.dumps(label) for label in g.labels]
-        pairs = ", ".join(
-            '{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'
-            % (names[a], names[b], _fmt(c, JSON_DIGITS), label)
-            for a, b, c, label in rows
-        )
-        sys.stdout.write('{"pairs": [%s]}\n' % pairs)
+        pairs = ('{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'
+                 % (names[a], names[b], _fmt(c, JSON_DIGITS), label)
+                 for a, b, c, label in rows)
+        _write('{"pairs": [', pairs, ", ", "]}\n", ANGLE_LINES_PER_WRITE)
     else:
         names = g.labels
-        sys.stdout.write("".join(
-            f"{names[a]}\t{names[b]}\t{_fmt(c, TSV_DIGITS)}\t{label}\n"
-            for a, b, c, label in rows
-        ))
+        lines = (f"{names[a]}\t{names[b]}\t{_fmt(c, TSV_DIGITS)}\t{label}\n"
+                 for a, b, c, label in rows)
+        _write("", lines, "", "", ANGLE_LINES_PER_WRITE)
     return 0
 
 

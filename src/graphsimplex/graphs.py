@@ -378,13 +378,12 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
         raise NotALaplacianError(report)
     n = a.n
     atol = report.tol_scale
-    i, j = np.triu_indices(n, 1)
-    w = -a.symmetric[i, j]
-    keep = w > atol
+    # x < -atol is -x > atol exactly; nonzero lists the links row-major
+    i, j = np.nonzero(np.triu(a.symmetric < -atol, 1))
     return WeightedGraph(
         tuple(str(k) for k in range(n)),
-        tuple(zip(i[keep].tolist(), j[keep].tolist())),
-        tuple(w[keep].tolist()),
+        tuple(zip(i.tolist(), j.tolist())),
+        tuple((-a.symmetric[i, j]).tolist()),
     )
 
 

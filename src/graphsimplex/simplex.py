@@ -11,9 +11,12 @@ coordinates, which are unique only up to orthogonal maps and translations.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,12 +124,57 @@ def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:
 ANGLE_LABELS = ("acute", "right", "obtuse")
 
 
-@dataclass(frozen=True)
-class PairAngle:
+class PairAngle(NamedTuple):
     i: int
     j: int
     cosine: float  # cos(pi - phi_ij)
     label: str
+
+
+def _pair_rows(cosines: np.ndarray, codes: np.ndarray):
+    """(i, j, cosine, label) for every i < j in row-major order, as plain
+    Python values, converting one row of the arrays at a time."""
+    n = codes.shape[0]
+    return chain.from_iterable(
+        zip(repeat(i), range(i + 1, n), cosines[i, i + 1:].tolist(),
+            map(ANGLE_LABELS.__getitem__, codes[i, i + 1:].tolist()))
+        for i in range(n - 1))
+
+
+class _PairView(Sequence):
+    """Read-only sequence of one PairAngle per i < j, in row-major order,
+    over the two arrays of an AngleClassification. Rows are made as they
+    are read; none is stored."""
+
+    __slots__ = ("_cosines", "_codes", "_len")
+
+    def __init__(self, cosines: np.ndarray, codes: np.ndarray):
+        n = codes.shape[0]
+        self._cosines, self._codes, self._len = cosines, codes, n * (n - 1) // 2
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        # tuple.__new__ makes each row in C; PairAngle._make calls the same
+        return map(tuple.__new__, repeat(PairAngle), _pair_rows(self._cosines, self._codes))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._pair(m) for m in range(*k.indices(self._len)))
+        k = operator.index(k)
+        if not -self._len <= k < self._len:
+            raise IndexError("pair index out of range")
+        return self._pair(k % self._len)
+
+    def _pair(self, k: int) -> PairAngle:
+        # Counted from the end, the rows hold 1, 2, 3, ... pairs, so pair
+        # m = len - 1 - k lies in reversed row r, r(r+1)/2 <= m < (r+1)(r+2)/2.
+        m = self._len - 1 - k
+        r = (math.isqrt(8 * m + 1) - 1) // 2
+        n = self._codes.shape[0]
+        i, j = n - 2 - r, n - 1 - (m - r * (r + 1) // 2)
+        return PairAngle(i, j, float(self._cosines[i, j]), ANGLE_LABELS[self._codes[i, j]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,15 +207,14 @@ class AngleClassification:
 
     def pair_rows(self):
         """An iterator of (i, j, cosine, label) for every i < j in row-major
-        order, as plain Python values."""
-        i, j = np.triu_indices(self.n, 1)
-        labels = [ANGLE_LABELS[k] for k in self.codes[i, j].tolist()]
-        return zip(i.tolist(), j.tolist(), self.cosines[i, j].tolist(), labels)
+        order, as plain Python values, made one row at a time."""
+        return _pair_rows(self.cosines, self.codes)
 
     @cached_property
-    def pairs(self) -> tuple[PairAngle, ...]:
-        """One PairAngle per i < j in row-major order, built on first use."""
-        return tuple(PairAngle(*row) for row in self.pair_rows())
+    def pairs(self) -> Sequence[PairAngle]:
+        """One PairAngle per i < j in row-major order: a read-only view over
+        ``cosines`` and ``codes`` that stores no row, made on first use."""
+        return _PairView(self.cosines, self.codes)
 
 
 def dihedral_angles(gp: GramPair | LaplacianMatrix,

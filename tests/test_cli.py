@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -660,3 +661,97 @@ def test_angles_where_the_spectrum_is_unresolved(capsys, monkeypatch):
         assert float(cosine) == pytest.approx(want, rel=1e-11, abs=1e-300)
         # the sign dead-band is 1e-9 of the largest degree
         assert label == ("acute" if q[i, j] < -1e-9 * q.max() else "right")
+
+
+class Recorder:
+    """A stdout that keeps each write, to show how output was split."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+
+
+def edge_list(g):
+    return "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
+                   for (i, j), w in zip(g.links, g.weights))
+
+
+def one_shot_angles(g, cls, fmt):
+    """CLI angles output as one join over rows built from n(n-1)/2 index
+    arrays, as it was written before it was streamed."""
+    i, j = np.triu_indices(cls.n, 1)
+    labels = [graphsimplex.simplex.ANGLE_LABELS[k] for k in cls.codes[i, j].tolist()]
+    rows = zip(i.tolist(), j.tolist(), cls.cosines[i, j].tolist(), labels)
+    if fmt == "json":
+        names = [json.dumps(label) for label in g.labels]
+        return '{"pairs": [%s]}\n' % ", ".join(
+            '{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'
+            % (names[a], names[b], cli._fmt(c, cli.JSON_DIGITS), label)
+            for a, b, c, label in rows)
+    return "".join(f"{g.labels[a]}\t{g.labels[b]}\t{cli._fmt(c, cli.TSV_DIGITS)}\t{label}\n"
+                   for a, b, c, label in rows)
+
+
+def one_shot_matrix(labels, matrix, fmt):
+    """The matrix writers before they were streamed: one string of all rows."""
+    rows = np.atleast_2d(matrix).tolist()
+    if fmt == "json":
+        row = "[" + ", ".join([f"%.{cli.JSON_DIGITS}g"] * len(rows[0])) + "]"
+        body = ", ".join(row % tuple(r) for r in rows)
+        return '{"labels": %s, "rows": [%s]}\n' % (json.dumps(list(labels)), body)
+    row = "\t".join([f"%.{cli.TSV_DIGITS}g"] * len(rows[0]))
+    return "\n".join(["\t".join(labels)] + [row % tuple(r) for r in rows]) + "\n"
+
+
+def first_difference(got: str, want: str):
+    """The offset of the first character where two strings differ, or None;
+    a plain == on megabyte strings makes pytest diff them for minutes."""
+    if got == want:
+        return None
+    return next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                min(len(got), len(want)))
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_streamed_output_matches_one_shot_join(monkeypatch, tmp_path, fmt):
+    g_in = random_graph(np.random.default_rng(300), n=300)
+    path = tmp_path / "g300.el"
+    path.write_text(edge_list(g_in))
+    g = graphsimplex.parse_graph(path.read_text())
+    q = graphsimplex.build_laplacian(g)
+    expected = {
+        "angles": one_shot_angles(g, graphsimplex.dihedral_angles(q), fmt),
+        "pinv": one_shot_matrix(g.labels, q.pinv, fmt),
+        "embed": one_shot_matrix(g.labels, graphsimplex.embed_from_laplacian(q).vertices, fmt),
+    }
+    for command, want in expected.items():
+        out = Recorder()
+        monkeypatch.setattr("sys.stdout", out)
+        assert main([command, str(path), "--format", fmt]) == 0
+        assert first_difference("".join(out.writes), want) is None
+        if command == "angles":  # 44,850 pairs in 4096-line writes
+            lines = [w.count("\n") if fmt == "tsv" else w.count('"label"') for w in out.writes]
+            assert max(lines) == cli.ANGLE_LINES_PER_WRITE
+            assert sum(lines) == 300 * 299 // 2 and len(out.writes) >= 11
+        else:  # the header, then one row per write
+            assert len(out.writes) >= 300
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_angles_memory_stays_below_the_output(monkeypatch, tmp_path, fmt):
+    g = random_graph(np.random.default_rng(600), n=600)
+    path = tmp_path / "g600.el"
+    path.write_text(edge_list(g))
+    with open(os.devnull, "w") as sink:  # so only the CLI's own memory counts
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["angles", str(path), "--format", fmt]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # 9.3 MiB streamed, nearly all of it dihedral_angles' n x n arrays; the
+    # one-shot writer peaked at 34.5 MiB (TSV) and 47.6 MiB (JSON)
+    assert peak < 12 * 2**20

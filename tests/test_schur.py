@@ -265,8 +265,8 @@ def folded_single_eliminations(q, w, order):
 
 
 class TestPanelElimination:
-    # n - |W| nodes are eliminated: three full panels and a ragged one, an
-    # exact multiple of the panel width, and less than one panel
+    # n - |W| nodes are eliminated: 197, less than one panel; 512, exactly
+    # two panels; and 123, less than half of one
     @pytest.mark.parametrize("n, k_w", [(200, 3), (2 * _PANEL + 4, 4), (_PANEL // 2, 5)])
     def test_matches_folded_single_eliminations(self, n, k_w):
         rng = np.random.default_rng(n)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -402,6 +404,56 @@ class TestAngleArrays:
         cls = gs.dihedral_angles(gs.gram_pair_from_pinv(NONHYPERACUTE))
         with pytest.raises(IndexOutOfRangeError):
             cls.label(i, j)
+
+
+def eager_pairs(cls):
+    """The tuple ``.pairs`` held before it became a view: every row built at
+    once from n(n-1)/2 index arrays."""
+    i, j = np.triu_indices(cls.n, 1)
+    labels = [gs.simplex.ANGLE_LABELS[k] for k in cls.codes[i, j].tolist()]
+    return tuple(zip(i.tolist(), j.tolist(), cls.cosines[i, j].tolist(), labels))
+
+
+def same_row(p, row):
+    return (type(p.i) is int and type(p.j) is int and type(p.cosine) is float
+            and tuple(p) == row and math.copysign(1.0, p.cosine) == math.copysign(1.0, row[2]))
+
+
+class TestPairView:
+    def test_equals_eager_tuple(self, small_corpus):
+        for q in small_corpus:
+            cls = gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
+            ref = eager_pairs(cls)
+            assert len(cls.pairs) == len(ref)
+            assert all(same_row(p, row) for p, row in zip(cls.pairs, ref, strict=True))
+            assert all(same_row(cls.pairs[k], row) for k, row in enumerate(ref))
+            assert tuple(cls.pair_rows()) == ref
+
+    def test_indexing(self):
+        cls = gs.dihedral_angles(band_gram())
+        pairs, ref = cls.pairs, eager_pairs(cls)
+        assert isinstance(pairs, Sequence) and isinstance(pairs[0], gs.simplex.PairAngle)
+        for k in (0, -1, len(ref) // 2, -len(ref), len(ref) - 1):
+            assert same_row(pairs[k], ref[k])
+        for k in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                pairs[k]
+        assert pairs[2:7] == ref[2:7] and pairs[::-3] == ref[::-3] and pairs[5:2] == ()
+        assert pairs[-1] == gs.simplex.PairAngle(3, 4, pairs[-1].cosine, "right")
+        assert list(reversed(pairs)) == list(reversed(ref)) and ref[4] in pairs
+
+    def test_holds_no_rows(self):
+        q = gs.build_laplacian(random_graph(np.random.default_rng(3), n=300))
+        cls = gs.dihedral_angles(q)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in cls.pairs)
+            cls.pairs[len(cls.pairs) // 2]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 300 * 299 // 2
+        assert held < 64 * 1024  # the eager tuple held 6.2 MiB
 
 
 def projector_pair(gram, tol=gs.DEFAULT):
