@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from . import resistance, schur, simplex
 from .config import DEFAULT
 from .errors import GraphSimplexError, UnknownLabelError
 from .graphs import (
-    LaplacianMatrix,
     WeightedGraph,
     build_laplacian,
     parse_graph,
@@ -37,53 +37,53 @@ def _fmt(value: float, digits: int) -> str:
     return format(float(value), f".{digits}g")
 
 
-def _matrix_document(labels, matrix, fmt: str):
-    """The matrix as (head, pieces, sep, tail), which stands for the text
-    head + sep.join(pieces) + tail, with one piece per row, made lazily."""
+def _separated(pieces, sep: str):
+    """The pieces with ``sep`` put before each one but the first."""
+    lead = ""
+    for piece in pieces:
+        yield lead + piece
+        lead = sep
+
+
+def _matrix(labels, matrix, fmt: str):
+    """The matrix as text pieces, made lazily: the header, then one per row."""
     # one %-template per row: "%.12g" % v prints exactly what _fmt(v, 12) does
     rows = np.atleast_2d(matrix)
     if fmt == "json":
         row = "[" + ", ".join([f"%.{JSON_DIGITS}g"] * rows.shape[1]) + "]"
-        return ('{"labels": %s, "rows": [' % json.dumps(list(labels)),
-                (row % tuple(r.tolist()) for r in rows), ", ", "]}\n")
-    row = "\t".join([f"%.{TSV_DIGITS}g"] * rows.shape[1]) + "\n"
-    return "\t".join(labels) + "\n", (row % tuple(r.tolist()) for r in rows), "", ""
+        yield '{"labels": %s, "rows": [' % json.dumps(list(labels))
+        yield from _separated((row % tuple(r.tolist()) for r in rows), ", ")
+        yield "]}\n"
+    else:
+        row = "\t".join([f"%.{TSV_DIGITS}g"] * rows.shape[1]) + "\n"
+        yield "\t".join(labels) + "\n"
+        yield from (row % tuple(r.tolist()) for r in rows)
 
 
-def _joined(head, pieces, sep, tail) -> str:
-    return head + sep.join(pieces) + tail
-
-
-def _matrix_tsv(labels, matrix) -> str:
-    return _joined(*_matrix_document(labels, matrix, "tsv"))
-
-
-def _matrix_json(labels, matrix) -> str:
-    return _joined(*_matrix_document(labels, matrix, "json"))
-
-
-def _write(head, pieces, sep, tail, per_write: int = 1) -> None:
-    """Write _joined(head, pieces, sep, tail) to stdout, ``per_write``
-    pieces at a time, so only that many are held at once."""
-    out = sys.stdout
-    out.write(head)
-    lead = ""
+def _write(pieces, per_write: int = 1) -> None:
+    """Write the text pieces to stdout ``per_write`` at a time, so only
+    that many are held at once."""
+    pieces = iter(pieces)
     while chunk := list(islice(pieces, per_write)):
-        out.write(lead + sep.join(chunk))
-        lead = sep
-    out.write(tail)
+        sys.stdout.write("".join(chunk))
 
 
-def _emit_matrix(args, labels, matrix) -> None:
-    _write(*_matrix_document(labels, matrix, args.format))
+def _emit_matrix(args, labels, matrix) -> int:
+    _write(_matrix(labels, matrix, args.format))
+    return 0
+
+
+def _emit_scalar(args, value) -> int:
+    digits = JSON_DIGITS if args.format == "json" else TSV_DIGITS
+    sys.stdout.write(_fmt(value, digits) + "\n")
+    return 0
 
 
 def _read_graph(path: str) -> WeightedGraph:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        return parse_graph(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_graph(text)
 
 
@@ -98,50 +98,26 @@ def _resolve_labels(g: WeightedGraph, spec: str) -> list[int]:
     return idx
 
 
-def cmd_laplacian(args, g: WeightedGraph, q: LaplacianMatrix) -> int:
-    _emit_matrix(args, g.labels, q.matrix)
-    return 0
-
-
-def cmd_pinv(args, g, q) -> int:
-    _emit_matrix(args, g.labels, q.pinv)
-    return 0
-
-
-def cmd_resistance(args, g, q) -> int:
-    _emit_matrix(args, g.labels, resistance.resistance_matrix(q))
-    return 0
-
-
-def cmd_embed(args, g, q) -> int:
-    emb = simplex.embed_from_laplacian(q)
-    _emit_matrix(args, g.labels, emb.vertices)
-    return 0
-
-
 def cmd_angles(args, g, q) -> int:
-    tol = DEFAULT if args.tol is None else DEFAULT.with_validation(args.tol)
-    cls = simplex.dihedral_angles(q, tol)
-    rows = cls.pair_rows()
+    rows = simplex.dihedral_angles(q, DEFAULT.with_validation(args.tol)).pair_rows()
     if args.format == "json":
         names = [json.dumps(label) for label in g.labels]
         pairs = ('{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'
                  % (names[a], names[b], _fmt(c, JSON_DIGITS), label)
                  for a, b, c, label in rows)
-        _write('{"pairs": [', pairs, ", ", "]}\n", ANGLE_LINES_PER_WRITE)
+        lines = chain(['{"pairs": ['], _separated(pairs, ", "), ["]}\n"])
     else:
         names = g.labels
         lines = (f"{names[a]}\t{names[b]}\t{_fmt(c, TSV_DIGITS)}\t{label}\n"
                  for a, b, c, label in rows)
-        _write("", lines, "", "", ANGLE_LINES_PER_WRITE)
+    _write(lines, ANGLE_LINES_PER_WRITE)
     return 0
 
 
 def cmd_reduce(args, g, q) -> int:
     keep = _resolve_labels(g, args.keep)
     reduced = schur.schur_complement(q, keep)
-    _emit_matrix(args, [g.labels[i] for i in keep], reduced.matrix)
-    return 0
+    return _emit_matrix(args, [g.labels[i] for i in keep], reduced.matrix)
 
 
 def cmd_metric_check(args, g, q) -> int:
@@ -163,18 +139,9 @@ def cmd_metric_check(args, g, q) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_volume(args, g, q) -> int:
-    emb = simplex.embed_from_laplacian(q)
-    vol = simplex.cayley_menger_volume(emb.squared_distances())
-    digits = JSON_DIGITS if args.format == "json" else TSV_DIGITS
-    sys.stdout.write(_fmt(vol, digits) + "\n")
-    return 0
-
-
 def cmd_verify_identity(args, g, q) -> int:
     report = resistance.verify_fiedler_identity(q)
-    threshold = args.tol if args.tol is not None else DEFAULT.residual
-    ok = report.passed(threshold)
+    ok = report.passed(args.tol)
     if args.format == "json":
         sys.stdout.write(
             '{"residual_ab": %s, "residual_ba": %s, "passed": %s}\n'
@@ -188,13 +155,6 @@ def cmd_verify_identity(args, g, q) -> int:
             f"residual_ba\t{_fmt(report.residual_ba, TSV_DIGITS)}\n"
         )
     return 0 if ok else 1
-
-
-def cmd_spanning_trees(args, g, q) -> int:
-    count = spanning_tree_count(q)
-    digits = JSON_DIGITS if args.format == "json" else TSV_DIGITS
-    sys.stdout.write(_fmt(count, digits) + "\n")
-    return 0
 
 
 def cmd_blocks(args, g, q) -> int:
@@ -213,19 +173,31 @@ def cmd_blocks(args, g, q) -> int:
     return 0
 
 
+# subcommand -> handler(args, graph, laplacian), which returns the exit status
 _COMMANDS = {
-    "laplacian": cmd_laplacian,
-    "pinv": cmd_pinv,
-    "resistance": cmd_resistance,
-    "embed": cmd_embed,
+    "laplacian": lambda args, g, q: _emit_matrix(args, g.labels, q.matrix),
+    "pinv": lambda args, g, q: _emit_matrix(args, g.labels, q.pinv),
+    "resistance": lambda args, g, q: _emit_matrix(
+        args, g.labels, resistance.resistance_matrix(q)),
+    "embed": lambda args, g, q: _emit_matrix(
+        args, g.labels, simplex.embed_from_laplacian(q).vertices),
     "angles": cmd_angles,
     "reduce": cmd_reduce,
     "metric-check": cmd_metric_check,
-    "volume": cmd_volume,
+    "volume": lambda args, g, q: _emit_scalar(args, simplex.cayley_menger_volume(
+        simplex.embed_from_laplacian(q).squared_distances())),
     "verify-identity": cmd_verify_identity,
-    "spanning-trees": cmd_spanning_trees,
+    "spanning-trees": lambda args, g, q: _emit_scalar(args, spanning_tree_count(q)),
     "blocks": cmd_blocks,
 }
+
+
+def tolerance(text: str) -> float:
+    """The ``--tol`` type: a finite number >= 0, else a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, not {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge-list file, or - for stdin (default)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         if name == "angles":
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=tolerance, default=DEFAULT.validation,
                            help="relative sign dead-band of the angle labels "
-                                "(default %g)" % DEFAULT.validation)
+                                "(default %(default)g)")
         if name == "verify-identity":
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=tolerance, default=DEFAULT.residual,
                            help="pass threshold of the identity residual "
-                                "(default %g)" % DEFAULT.residual)
+                                "(default %(default)g)")
         if name == "reduce":
             p.add_argument("--keep", required=True,
                            help="comma-separated node labels to keep")

@@ -9,7 +9,6 @@ Q^dagger instead of block elimination.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +26,6 @@ from .errors import (
 from .graphs import LaplacianMatrix
 from .resistance import resistance_matrix
 from .simplex import face_gram, gram_pair_from_laplacian
-
-logger = logging.getLogger(__name__)
 
 
 def _canonicalize(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -51,11 +48,7 @@ def _canonicalize_in_place(m: np.ndarray, tol: Tolerances) -> None:
     # Off-diagonals of a Laplacian are <= 0, so one max() pass usually
     # rules out any clamp without building the masks.
     if m.max() > 0:
-        tiny = (m > 0) & (m <= tol.clamp * scale)
-        clamped = int(np.count_nonzero(tiny))
-        if clamped:
-            logger.debug("clamped %d tiny positive off-diagonal entries", clamped)
-            m[tiny] = 0.0
+        m[(m > 0) & (m <= tol.clamp * scale)] = 0.0
     np.fill_diagonal(m, -m.sum(axis=1))
 
 

@@ -385,16 +385,165 @@ CLI_GOLDEN = {
         "r\t0.252212389381\t0.283185840708\t0.340707964602\t0.12389380531\n"
         "R\t0.490112911948\n",
 }
+# The same in JSON (17 significant digits), for every subcommand but
+# angles, whose JSON ANGLES_GOLDEN pins.
+CLI_GOLDEN_JSON = {
+    (PATH3, "laplacian"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[1, -1, 0], '
+        '[-1, 2, -1], '
+        '[0, -1, 1]]}\n',
+    (PATH3, "pinv"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0.55555555555555514, -0.11111111111111113, -0.44444444444444403], '
+        '[-0.11111111111111113, 0.22222222222222221, -0.11111111111111108], '
+        '[-0.44444444444444403, -0.11111111111111108, 0.55555555555555514]]}\n',
+    (PATH3, "resistance"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0, 0.99999999999999956, 1.9999999999999982], '
+        '[0.99999999999999956, 0, 0.99999999999999956], '
+        '[1.9999999999999982, 0.99999999999999956, 0]]}\n',
+    (PATH3, "embed"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0.23570226039551576, -0.47140452079103173, 0.23570226039551592], '
+        '[-0.70710678118654724, 9.7144514654701197e-17, 0.70710678118654724]]}\n',
+    (PATH3, "reduce --keep a,c"):
+        '{"labels": ["a", "c"], '
+        '"rows": ['
+        '[0.49999999999999989, -0.49999999999999989], '
+        '[-0.49999999999999989, 0.49999999999999989]]}\n',
+    (PATH3, "metric-check"):
+        '{"mode": "plain", "violations": 0, "passed": true}\n',
+    (PATH3, "metric-check --sqrt"):
+        '{"mode": "sqrt", "violations": 0, "passed": true}\n',
+    (PATH3, "volume"):
+        '0.49999999999999994\n',
+    (PATH3, "verify-identity"):
+        '{"residual_ab": 4.4408920985006262e-16, "residual_ba": 4.4408920985006262e-16, '
+        '"passed": true}\n',
+    (PATH3, "spanning-trees"):
+        '1\n',
+    (PATH3, "blocks"):
+        '{"zeta": [0.55555555555555514, 0.22222222222222221, 0.55555555555555514], '
+        '"r": [0.49999999999999978, 3.8857805861880479e-16, 0.49999999999999978], '
+        '"R": 0.70710678118654724}\n',
+    (TRIANGLE, "laplacian"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[2, -1, -1], '
+        '[-1, 2, -1], '
+        '[-1, -1, 2]]}\n',
+    (TRIANGLE, "pinv"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0.22222222222222221, -0.11111111111111109, -0.11111111111111109], '
+        '[-0.11111111111111109, 0.22222222222222221, -0.11111111111111109], '
+        '[-0.11111111111111109, -0.11111111111111109, 0.22222222222222215]]}\n',
+    (TRIANGLE, "resistance"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0, 0.66666666666666663, 0.66666666666666652], '
+        '[0.66666666666666663, 0, 0.66666666666666652], '
+        '[0.66666666666666652, 0.66666666666666652, 0]]}\n',
+    (TRIANGLE, "embed"):
+        '{"labels": ["a", "b", "c"], '
+        '"rows": ['
+        '[0.36920892319523663, 0.06922667309910692, -0.43843559629434348], '
+        '[0.29309894789172491, -0.46629378073683508, 0.17319483284511011]]}\n',
+    (TRIANGLE, "reduce --keep b,c"):
+        '{"labels": ["b", "c"], '
+        '"rows": ['
+        '[1.5, -1.5], '
+        '[-1.5, 1.5]]}\n',
+    (TRIANGLE, "metric-check"):
+        '{"mode": "plain", "violations": 0, "passed": true}\n',
+    (TRIANGLE, "metric-check --sqrt"):
+        '{"mode": "sqrt", "violations": 0, "passed": true}\n',
+    (TRIANGLE, "volume"):
+        '0.28867513459481292\n',
+    (TRIANGLE, "verify-identity"):
+        '{"residual_ab": 2.2204460492503131e-16, "residual_ba": 2.2204460492503131e-16, '
+        '"passed": true}\n',
+    (TRIANGLE, "spanning-trees"):
+        '3\n',
+    (TRIANGLE, "blocks"):
+        '{"zeta": [0.22222222222222221, 0.22222222222222221, 0.22222222222222215], '
+        '"r": [0.33333333333333337, 0.33333333333333337, 0.33333333333333326], '
+        '"R": 0.47140452079103168}\n',
+    (QUAD, "laplacian"):
+        '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
+        '"rows": ['
+        '[3, -2, 0, -1], '
+        '[-2, 2.75, -0.5, -0.25], '
+        '[0, -0.5, 3.5, -3], '
+        '[-1, -0.25, -3, 4.25]]}\n',
+    (QUAD, "pinv"):
+        '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
+        '"rows": ['
+        '[0.23949115044247776, 0.042588495575221083, -0.1653761061946902, '
+        '-0.1167035398230088], '
+        '[0.042588495575221083, 0.26161504424778759, -0.1587389380530973, '
+        '-0.14546460176991149], '
+        '[-0.1653761061946902, -0.1587389380530973, 0.25276548672566379, '
+        '0.071349557522123908], '
+        '[-0.1167035398230088, -0.14546460176991149, 0.071349557522123908, '
+        '0.19081858407079658]]}\n',
+    (QUAD, "resistance"):
+        '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
+        '"rows": ['
+        '[0, 0.4159292035398231, 0.82300884955752196, 0.66371681415929196], '
+        '[0.4159292035398231, 0, 0.83185840707964598, 0.74336283185840712], '
+        '[0.82300884955752196, 0.83185840707964598, 0, 0.30088495575221252], '
+        '[0.66371681415929196, 0.74336283185840712, 0.30088495575221252, 0]]}\n',
+    (QUAD, "embed"):
+        '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
+        '"rows": ['
+        '[-0.092383184315829273, 0.053537796871214675, -0.23399757792376535, '
+        '0.2728429653683801], '
+        '[-0.31526460581458327, 0.3117082188812102, 0.0923044836661948, '
+        '-0.088748096732821691], '
+        '[-0.3627185217475401, -0.40197852534167505, 0.43530506836768201, '
+        '0.32939197872153358]]}\n',
+    (QUAD, 'reduce --keep x"y,é'):
+        '{"labels": ["x\\"y", "\\u00e9"], '
+        '"rows": ['
+        '[3.3235294117647061, -3.3235294117647061], '
+        '[-3.3235294117647061, 3.3235294117647061]]}\n',
+    (QUAD, "metric-check"):
+        '{"mode": "plain", "violations": 0, "passed": true}\n',
+    (QUAD, "metric-check --sqrt"):
+        '{"mode": "sqrt", "violations": 0, "passed": true}\n',
+    (QUAD, "volume"):
+        '0.044346007015849287\n',
+    (QUAD, "verify-identity"):
+        '{"residual_ab": 4.4408920985006262e-16, "residual_ba": 4.4408920985006262e-16, '
+        '"passed": true}\n',
+    (QUAD, "spanning-trees"):
+        '14.124999999999995\n',
+    (QUAD, "blocks"):
+        '{"zeta": [0.23949115044247776, 0.26161504424778759, 0.25276548672566379, '
+        '0.19081858407079658], '
+        '"r": [0.25221238938053081, 0.28318584070796465, 0.34070796460176983, '
+        '0.12389380530973471], '
+        '"R": 0.49011291194767309}\n',
+}
 GOLDEN_NAMES = {PATH3: "path3", TRIANGLE: "triangle", QUAD: "quad"}
+GOLDEN_TABLES = {"tsv": CLI_GOLDEN, "json": CLI_GOLDEN_JSON}
+GOLDEN_CASES = [(d, c, fmt) for fmt, table in GOLDEN_TABLES.items() for d, c in table]
 
 
-@pytest.mark.parametrize("doc, command", list(CLI_GOLDEN),
-                         ids=[f"{GOLDEN_NAMES[d]}-{c}" for d, c in CLI_GOLDEN])
-def test_cli_golden_output(capsys, monkeypatch, doc, command):
+@pytest.mark.parametrize("doc, command, fmt", GOLDEN_CASES,
+                         ids=[f"{GOLDEN_NAMES[d]}-{c}" + ("-json" if fmt == "json" else "")
+                              for d, c, fmt in GOLDEN_CASES])
+def test_cli_golden_output(capsys, monkeypatch, doc, command, fmt):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-    code, out, err = run(capsys, [*command.split(), "-"])
+    code, out, err = run(capsys, [*command.split(), "-", "--format", fmt])
     assert (code, err) == (0, "")
-    assert out == CLI_GOLDEN[doc, command]
+    assert out == GOLDEN_TABLES[fmt][doc, command]
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -408,6 +557,17 @@ def test_tol_only_where_it_is_read(capsys, path3_file, command):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# before: exit 0 with wrong angle labels, or exit 1 on a 4.4e-16 residual
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command", ["angles", "verify-identity"])
+def test_tol_must_be_finite_and_nonnegative(capsys, path3_file, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, path3_file, f"--tol={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tol: must be finite and >= 0" in captured.err
 
 
 def assert_one_error_line(code, out, err):
@@ -524,8 +684,8 @@ def test_matrix_writers_match_per_element_format(rng):
                                    graphsimplex.embed_from_laplacian(q).vertices)]
     cases += [(["a", "b", "c", "d"], np.reshape(special, (3, 4))), (["x"], [[2.5]])]
     for names, m in cases:
-        assert cli._matrix_tsv(names, m) == reference_tsv(names, m)
-        assert cli._matrix_json(names, m) == reference_json(names, m)
+        assert "".join(cli._matrix(names, m, "tsv")) == reference_tsv(names, m)
+        assert "".join(cli._matrix(names, m, "json")) == reference_json(names, m)
 
 
 def cycle(w):
