@@ -9,6 +9,7 @@ equivalent spectral characterization, and cross-checks their agreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -21,6 +22,7 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DisconnectedError,
     EdgeListSyntaxError,
+    NoConvergenceError,
     NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
@@ -58,7 +60,7 @@ class WeightedGraph:
             if (i, j) in seen:
                 raise EdgeListSyntaxError(f"duplicate link ({i}, {j})")
             seen.add((i, j))
-            if not (np.isfinite(w) and w > 0):
+            if not (math.isfinite(w) and w > 0):
                 raise NonPositiveWeightError(
                     f"weight {w!r} on link {self.labels[i]!r}-{self.labels[j]!r}"
                 )
@@ -140,7 +142,7 @@ def parse_graph(text: str) -> WeightedGraph:
             w = float(wtext)
         except ValueError:
             raise EdgeListSyntaxError(f"line {lineno}: bad weight {wtext!r}") from None
-        if not (np.isfinite(w) and w > 0):
+        if not (math.isfinite(w) and w > 0):
             raise NonPositiveWeightError(f"line {lineno}: weight {w} must be positive")
         if a == b:
             raise SelfLoopError(f"line {lineno}: self-loop at {a!r}")
@@ -162,7 +164,8 @@ class LaplacianMatrix:
     eigendecomposition, all held as read-only arrays, one cached
     ``ValidationReport`` per ``Tolerances``, and its most recent Kron
     reduction (``schur.schur_complement``), keyed by kept nodes and
-    ``Tolerances``.
+    ``Tolerances``. One ``eigh`` of the symmetric part serves the
+    spectrum, and so every answer read off it, and validation.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
     Schur reductions); use ``from_matrix`` to validate arbitrary input.
@@ -204,17 +207,25 @@ class LaplacianMatrix:
         return p
 
     @cached_property
+    def _eigh(self) -> linalg.EigenDecomposition:
+        """``linalg.eigh`` of the symmetric part, read-only and without the
+        resolvability rule, so that ``validate_laplacian`` can read its
+        eigenvalues where ``spectrum`` refuses."""
+        dec = linalg.eigh(self.symmetric)
+        dec.eigenvalues.setflags(write=False)
+        dec.eigenvectors.setflags(write=False)
+        return dec
+
+    @cached_property
     def spectrum(self) -> linalg.EigenDecomposition:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
         asymmetry), descending with the zero last; shared by every caller.
 
         Raises RankDeficientError where ``linalg.laplacian_spectrum``'s rule
-        refuses, so ``pinv``, the embedding and the tree count all do.
+        refuses, so ``pinv``, the embedding and the tree count all do; a
+        refusal is not cached, but asking again only re-applies the rule.
         """
-        dec = linalg.laplacian_spectrum(self.symmetric)
-        dec.eigenvalues.setflags(write=False)
-        dec.eigenvectors.setflags(write=False)
-        return dec
+        return linalg.laplacian_spectrum(self._eigh)
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
@@ -267,17 +278,20 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
     (i)s-(iii)s of the Laplacian characterization, plus their consistency.
 
     A ``LaplacianMatrix`` is checked once per ``Tolerances``: later calls
-    return the report it keeps.
+    return the report it keeps. Its spectral checks read the eigenvalues of
+    the one ``eigh`` its spectrum comes from; anything else, or a matrix
+    whose ``eigh`` fails, takes one ``eigvalsh``.
     """
     if not isinstance(a, LaplacianMatrix):
         return _check_properties(a, tol)
     report = a._reports.get(tol)
     if report is None:
-        report = a._reports[tol] = _check_properties(a.matrix, tol)
+        report = a._reports[tol] = _check_properties(a.matrix, tol, a)
     return report
 
 
-def _check_properties(a, tol: Tolerances) -> ValidationReport:
+def _check_properties(a, tol: Tolerances,
+                      q: LaplacianMatrix | None = None) -> ValidationReport:
     m = linalg.as_square_array(a)
     n = m.shape[0]
     scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
@@ -286,7 +300,10 @@ def _check_properties(a, tol: Tolerances) -> ValidationReport:
     # Differences, sums and the spectrum are taken of m scaled by the exact
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
-    # in the input's units.
+    # in the input's units. q's eigenvalues, of its unscaled symmetric part,
+    # are scaled by the same 2^-e; LAPACK scales a matrix near the ends of
+    # the float range itself, and where an eigenvalue overflows, eigh fails
+    # and the scaled matrix takes eigvalsh.
     e = np.frexp(np.abs(m).max())[1]
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
@@ -322,7 +339,14 @@ def _check_properties(a, tol: Tolerances) -> ValidationReport:
     )
 
     sym = linalg.symmetric_part(scaled)
-    vals = np.linalg.eigvalsh(sym)
+    vals = None
+    if q is not None:
+        try:
+            vals = np.ldexp(q._eigh.eigenvalues, -e)
+        except (NoConvergenceError, NonFiniteEntryError):
+            pass
+    if vals is None:
+        vals = np.linalg.eigvalsh(sym)
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = tol.zero_eigenvalue * mu_max
     min_val = float(vals.min())
@@ -371,11 +395,13 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
     Node labels are "0".."n-1"; entries within the sign dead-band are
     treated as absent links.
     """
-    if not isinstance(a, LaplacianMatrix):
-        a = LaplacianMatrix(linalg.as_square_array(a))
+    # a plain array is validated as one (one eigvalsh), not through the
+    # full eigh a LaplacianMatrix would take
     report = validate_laplacian(a, tol)
     if not report.passed:
         raise NotALaplacianError(report)
+    if not isinstance(a, LaplacianMatrix):
+        a = LaplacianMatrix(linalg.as_square_array(a))
     n = a.n
     atol = report.tol_scale
     # x < -atol is -x > atol exactly; nonzero lists the links row-major

@@ -6,6 +6,7 @@ Everything operates on plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,10 +54,22 @@ def symmetrize(a, rtol: float = 1e-12) -> np.ndarray:
     return symmetric_part(m)
 
 
+def as_index(i) -> int:
+    """``i`` as a Python int, requiring a true integer: a bool, a float
+    such as 2.0 or anything else without ``__index__`` raises
+    IndexOutOfRangeError."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise IndexOutOfRangeError(f"index {i!r} is not an integer")
+
+
 def check_subset(v: Sequence[int], n: int) -> list[int]:
-    """The indices of ``v`` as a list, requiring a non-empty subset of
-    [0, n) without repeats."""
-    idx = list(v)
+    """The indices of ``v`` as a list of ints (``as_index``), requiring a
+    non-empty subset of [0, n) without repeats."""
+    idx = [as_index(i) for i in v]
     if not idx:
         raise EmptySubsetError("subset must be non-empty")
     if len(set(idx)) != len(idx):
@@ -171,7 +184,8 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
 
 
 def laplacian_spectrum(m) -> EigenDecomposition:
-    """``eigh`` of a symmetric Laplacian, held to one resolvability rule: its
+    """``eigh`` of a symmetric Laplacian, or ``m`` itself when it is such an
+    ``EigenDecomposition`` already, held to one resolvability rule: its
     smallest nonzero eigenvalue must exceed n eps mu_max, the rounding level
     of one double-precision eigendecomposition, or its inverse is noise.
 
@@ -179,7 +193,7 @@ def laplacian_spectrum(m) -> EigenDecomposition:
     near 1e-310) passes. Raises RankDeficientError otherwise, as for
     weights spanning ~19 decades or more.
     """
-    dec = eigh(m)
+    dec = m if isinstance(m, EigenDecomposition) else eigh(m)
     mu = dec.eigenvalues  # descending, the zero last
     level = mu.size * np.finfo(float).eps * mu[0]
     if mu.size > 1 and not mu[-2] > level:

@@ -32,8 +32,10 @@ _TILE_ROWS = 4
 
 
 def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
-    """omega_ij = (e_i - e_j)^T Q^dagger (e_i - e_j)."""
+    """omega_ij = (e_i - e_j)^T Q^dagger (e_i - e_j); ``i`` and ``j`` must
+    be true integers (``linalg.as_index``)."""
     n = q.n
+    i, j = linalg.as_index(i), linalg.as_index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"indices ({i}, {j}) out of range for n={n}")
     if i == j:

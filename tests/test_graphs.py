@@ -13,11 +13,12 @@ from graphsimplex.errors import (
     NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
+    RankDeficientError,
     SelfLoopError,
     TooFewNodesError,
 )
 
-from conftest import connected_graphs
+from conftest import UNRESOLVED_TREE, connected_graphs
 from oracles import (
     complete_graph,
     count_spanning_trees_brute,
@@ -286,13 +287,14 @@ class TestLaplacianCaches:
         gs.embed_from_laplacian(q)
         assert eigh_calls == [(12, 12)]
 
-    def test_graph_from_laplacian_reads_the_validation(self, eigvalsh_calls, rng):
+    def test_graph_from_laplacian_reads_the_validation(self, eigh_calls, eigvalsh_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=9))
         report = gs.validate_laplacian(q)
         gs.graph_from_laplacian(q)
-        assert eigvalsh_calls == [(9, 9)]
+        assert eigh_calls == [(9, 9)]
+        assert eigvalsh_calls == []
         assert gs.validate_laplacian(q) is report
-        assert report == gs.validate_laplacian(q.matrix)
+        assert_same_report_but_min_eigenvalue(report, gs.validate_laplacian(q.matrix), q)
 
     def test_from_matrix_keeps_its_report(self, eigvalsh_calls, rng):
         q = gs.LaplacianMatrix.from_matrix(gs.build_laplacian(random_graph(rng, n=7)).matrix)
@@ -300,14 +302,17 @@ class TestLaplacianCaches:
         assert gs.validate_laplacian(q).passed
         assert eigvalsh_calls == [(7, 7)]
 
-    def test_each_tolerance_has_its_own_report(self, eigvalsh_calls, rng):
+    def test_each_tolerance_has_its_own_report(self, eigh_calls, eigvalsh_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=8))
         default = gs.validate_laplacian(q)
         loose = gs.validate_laplacian(q, gs.DEFAULT.with_validation(1e-6))
         assert loose is not default
         assert loose.tol_scale == 1e3 * default.tol_scale
         assert gs.validate_laplacian(q, gs.Tolerances(validation=1e-6)) is loose
-        assert len(eigvalsh_calls) == 2
+        assert eigh_calls == [(8, 8)]  # two Tolerances, one decomposition
+        assert eigvalsh_calls == []
+        for tol, report in ((gs.DEFAULT, default), (gs.DEFAULT.with_validation(1e-6), loose)):
+            assert_same_report_but_min_eigenvalue(report, gs.validate_laplacian(q.matrix, tol), q)
 
     def test_report_checks_are_read_only(self, rng):
         report = gs.validate_laplacian(gs.build_laplacian(random_graph(rng, n=5)))
@@ -327,6 +332,98 @@ class TestLaplacianCaches:
         assert asym.symmetric is asym.symmetric
         with pytest.raises(ValueError):
             asym.symmetric[0, 0] = 1.0
+
+
+def assert_same_report_but_min_eigenvalue(report, raw, q):
+    """``report``, read off q's shared eigh, equals ``raw``, the eigvalsh
+    report of q.matrix, in every verdict and every detail but the digits of
+    the min eigenvalue, which must be within n eps mu_max of 0."""
+    assert report.tol_scale == raw.tol_scale
+    assert list(report.checks) == list(raw.checks)
+    for name, check in report.checks.items():
+        assert check.passed == raw.checks[name].passed
+        if name != "positive_semidefinite":
+            assert check == raw.checks[name]
+    prefix = "min eigenvalue = "
+    detail = report.checks["positive_semidefinite"].detail
+    assert detail.startswith(prefix)
+    mu = q.spectrum.eigenvalues
+    assert abs(float(detail[len(prefix):])) <= q.n * np.finfo(float).eps * mu[0]
+
+
+def unresolved_tree():
+    return gs.build_laplacian(gs.parse_graph(UNRESOLVED_TREE))
+
+
+def mixed_scale_tree():
+    # weights across ~500 decades; one nonzero eigenvalue rounds to <= 0
+    return gs.build_laplacian(gs.parse_graph(
+        "4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n2 3 1.9e206\n1 5 1.3e-300\n"))
+
+
+def overflowing_path():
+    # finite entries, but the largest eigenvalue (2.4e308) is not: eigh
+    # fails and validation falls back to eigvalsh of the scaled matrix
+    return gs.build_laplacian(gs.parse_graph("a b 8e307\nb c 8e307\n"))
+
+
+def subnormal_cycle():
+    return gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\nc d 1e-310\na d 1e-310\n"))
+
+
+def scaled_random_graph(k):
+    g = random_graph(np.random.default_rng(5), 200)
+    return gs.build_laplacian(
+        gs.WeightedGraph(g.labels, g.links, tuple(w * 10.0**k for w in g.weights)))
+
+
+SWEEP_SCALES = [-300, -250, -100, -8, 0, 12, 100, 250, 300]
+
+
+class TestValidationReadsTheSharedSpectrum:
+    def test_one_eigh_per_laplacian(self, eigh_calls, eigvalsh_calls, rng):
+        q = gs.build_laplacian(random_graph(rng, n=11))
+        assert gs.validate_laplacian(q).passed
+        gs.graph_from_laplacian(q)
+        q.pinv
+        gs.embed_from_laplacian(q)
+        gs.spanning_tree_count(q)
+        assert eigh_calls == [(11, 11)]
+        assert eigvalsh_calls == []
+
+    def test_plain_arrays_take_eigvalsh(self, eigh_calls, eigvalsh_calls, rng):
+        m = gs.build_laplacian(random_graph(rng, n=10)).matrix
+        gs.graph_from_laplacian(m)
+        gs.LaplacianMatrix.from_matrix(m)
+        assert eigvalsh_calls == [(10, 10), (10, 10)]
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("make", [
+        unresolved_tree, mixed_scale_tree, overflowing_path, subnormal_cycle,
+        *(lambda k=k: scaled_random_graph(k) for k in SWEEP_SCALES)],
+        ids=["unresolved-tree", "tree-500-decades", "path-8e307", "cycle-1e-310",
+             *(f"random-200-1e{k}" for k in SWEEP_SCALES)])
+    def test_verdicts_match_the_plain_array(self, make):
+        q = make()
+        got, want = gs.validate_laplacian(q), gs.validate_laplacian(q.matrix)
+        assert ({name: c.passed for name, c in got.checks.items()}
+                == {name: c.passed for name, c in want.checks.items()})
+        assert (got.passed, got.spectral_passed, got.consistent) == (
+            want.passed, want.spectral_passed, want.consistent)
+        assert got.tol_scale == want.tol_scale
+        assert all(got.checks[name] == c for name, c in want.checks.items()
+                   if name != "positive_semidefinite")
+
+    def test_unresolved_spectrum_validates_and_refuses_once(self, eigh_calls):
+        # validation reads the eigenvalues that the spectrum's rule refuses;
+        # the 1.6e-9 links fall in the dead-band, so both verdicts fail
+        q = unresolved_tree()
+        report = gs.validate_laplacian(q)
+        assert report.consistent and not report.passed
+        for _ in range(2):
+            with pytest.raises(RankDeficientError, match="rounding level"):
+                q.spectrum
+        assert eigh_calls == [(7, 7)]
 
 
 class TestAcceptedAsymmetry:

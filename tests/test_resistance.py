@@ -58,6 +58,18 @@ class TestEffectiveResistance:
         with pytest.raises(IndexOutOfRangeError):
             gs.effective_resistance(q, 0, 2)
 
+    @pytest.mark.parametrize("i, j", [(True, 2), (0, False), (0.0, 2), (0, 1.5), ("0", 2)])
+    def test_indices_must_be_integers(self, i, j):
+        # (True, 2) used to raise a bare TypeError
+        q = laplacian("a b 1\nb c 1")
+        with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+            gs.effective_resistance(q, i, j)
+
+    def test_numpy_integers_are_indices(self):
+        q = laplacian("a b 1\nb c 1")
+        assert gs.effective_resistance(q, np.int64(0), np.intp(2)) == \
+            gs.effective_resistance(q, 0, 2)
+
     def test_series_parallel_oracle(self, rng):
         for _ in range(25):
             net = random_sp_network(rng)

@@ -76,6 +76,28 @@ class TestSchurComplement:
         with pytest.raises(IndexOutOfRangeError):
             gs.schur_complement(q, [0, 3])
 
+    @pytest.mark.parametrize("keep", [[0, 1.5], [0, True], [0.0, 2.0], [np.float64(0), 2]],
+                             ids=["fraction", "bool", "whole-floats", "numpy-float"])
+    def test_indices_must_be_integers(self, keep):
+        # 1.5 used to reach numpy as a bare IndexError, True to keep node 1
+        q = gs.build_laplacian(path_graph(3))
+        with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+            gs.schur_complement(q, keep)
+
+    def test_whole_floats_do_not_match_the_kept_reduction(self):
+        # 0.0 == 0 and hash(0.0) == hash(0): a float key used to answer
+        # exactly when the integer reduction was the one kept
+        q = gs.build_laplacian(path_graph(3))
+        gs.schur_complement(q, [0, 2])
+        with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+            gs.schur_complement(q, [0.0, 2.0])
+
+    def test_numpy_integers_are_indices(self):
+        q = gs.build_laplacian(path_graph(3))
+        want = gs.schur_complement(q, [0, 2]).matrix
+        assert np.array_equal(gs.schur_complement(q, np.array([0, 2])).matrix, want)
+        assert np.array_equal(gs.schur_complement(q, [np.int32(0), np.uint8(2)]).matrix, want)
+
     def test_single_kept_node_is_positive_zero(self):
         # a lone node has no links; -0.0 would print as "-0" in the CLI
         q = gs.build_laplacian(path_graph(3))
