@@ -8,6 +8,7 @@ from .graphs import (
     WeightedGraph,
     build_laplacian,
     graph_from_laplacian,
+    laplacian_pseudoinverse,
     parse_graph,
     spanning_tree_count,
     validate_laplacian,
@@ -15,7 +16,6 @@ from .graphs import (
 from .linalg import (
     EigenDecomposition,
     eigh,
-    laplacian_pseudoinverse,
     pinv_kernel_u,
 )
 from .resistance import (

@@ -22,7 +22,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DisconnectedError,
     EdgeListSyntaxError,
-    NoConvergenceError,
     NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
@@ -51,10 +50,10 @@ class WeightedGraph:
             raise EdgeListSyntaxError("duplicate node labels")
         seen = set()
         for (i, j), w in zip(self.links, self.weights):
-            if i == j:
-                raise SelfLoopError(f"self-loop at node {self.labels[i]!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise EdgeListSyntaxError(f"link index out of range: ({i}, {j})")
+            if i == j:
+                raise SelfLoopError(f"self-loop at node {self.labels[i]!r}")
             if i > j:
                 raise EdgeListSyntaxError("links must be canonical (i < j) pairs")
             if (i, j) in seen:
@@ -159,13 +158,18 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(tuple(labels), links, weights)
 
 
+def _exponent(m: np.ndarray) -> int:
+    """The binary exponent e of max|m|: 2^-e m has its entries in (-1, 1)."""
+    return int(np.frexp(max(m.max(), -m.min()))[1])
+
+
 class LaplacianMatrix:
     """An n x n Laplacian with a cached symmetric part, pseudoinverse and
     eigendecomposition, all held as read-only arrays, one cached
     ``ValidationReport`` per ``Tolerances``, and its most recent Kron
     reduction (``schur.schur_complement``), keyed by kept nodes and
-    ``Tolerances``. One ``eigh`` of the symmetric part serves the
-    spectrum, and so every answer read off it, and validation.
+    ``Tolerances``. One ``eigh`` of the symmetric part, exactly scaled,
+    serves validation, the spectrum and every answer read off it.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
     Schur reductions); use ``from_matrix`` to validate arbitrary input.
@@ -207,25 +211,33 @@ class LaplacianMatrix:
         return p
 
     @cached_property
-    def _eigh(self) -> linalg.EigenDecomposition:
-        """``linalg.eigh`` of the symmetric part, read-only and without the
-        resolvability rule, so that ``validate_laplacian`` can read its
-        eigenvalues where ``spectrum`` refuses."""
-        dec = linalg.eigh(self.symmetric)
+    def _scaled(self) -> tuple[int, linalg.EigenDecomposition]:
+        """e = ``_exponent(matrix)`` and the read-only ``linalg.eigh`` of
+        2^-e ``symmetric``, whose entries lie in (-1, 1), so that none of
+        its eigenvalues overflows; without the resolvability rule."""
+        e = _exponent(linalg.as_square_array(self.matrix))
+        dec = linalg.eigh(np.ldexp(self.symmetric, -e))
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
-        return dec
+        return e, dec
 
     @cached_property
     def spectrum(self) -> linalg.EigenDecomposition:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
         asymmetry), descending with the zero last; shared by every caller.
 
-        Raises RankDeficientError where ``linalg.laplacian_spectrum``'s rule
+        Raises NonFiniteEntryError where an eigenvalue overflows, and
+        RankDeficientError where ``linalg.laplacian_spectrum``'s rule
         refuses, so ``pinv``, the embedding and the tree count all do; a
         refusal is not cached, but asking again only re-applies the rule.
         """
-        return linalg.laplacian_spectrum(self._eigh)
+        e, dec = self._scaled
+        with np.errstate(over="ignore"):
+            mu = np.ldexp(dec.eigenvalues, e)
+        if not np.isfinite(mu).all():
+            raise NonFiniteEntryError("an eigenvalue overflows the float range")
+        mu.setflags(write=False)
+        return linalg.laplacian_spectrum(linalg.EigenDecomposition(mu, dec.eigenvectors))
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
@@ -279,8 +291,8 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
 
     A ``LaplacianMatrix`` is checked once per ``Tolerances``: later calls
     return the report it keeps. Its spectral checks read the eigenvalues of
-    the one ``eigh`` its spectrum comes from; anything else, or a matrix
-    whose ``eigh`` fails, takes one ``eigvalsh``.
+    the one scaled ``eigh`` its spectrum comes from; anything else takes
+    one ``eigvalsh``.
     """
     if not isinstance(a, LaplacianMatrix):
         return _check_properties(a, tol)
@@ -300,11 +312,8 @@ def _check_properties(a, tol: Tolerances,
     # Differences, sums and the spectrum are taken of m scaled by the exact
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
-    # in the input's units. q's eigenvalues, of its unscaled symmetric part,
-    # are scaled by the same 2^-e; LAPACK scales a matrix near the ends of
-    # the float range itself, and where an eigenvalue overflows, eigh fails
-    # and the scaled matrix takes eigvalsh.
-    e = np.frexp(np.abs(m).max())[1]
+    # in the input's units. q's scaled eigh is of the same 2^-e m.
+    e = _exponent(m)
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
 
@@ -339,14 +348,7 @@ def _check_properties(a, tol: Tolerances,
     )
 
     sym = linalg.symmetric_part(scaled)
-    vals = None
-    if q is not None:
-        try:
-            vals = np.ldexp(q._eigh.eigenvalues, -e)
-        except (NoConvergenceError, NonFiniteEntryError):
-            pass
-    if vals is None:
-        vals = np.linalg.eigvalsh(sym)
+    vals = np.linalg.eigvalsh(sym) if q is None else q._scaled[1].eigenvalues
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = tol.zero_eigenvalue * mu_max
     min_val = float(vals.min())
@@ -387,6 +389,14 @@ def build_laplacian(g: WeightedGraph) -> LaplacianMatrix:
     q[j, i] = -w
     np.fill_diagonal(q, d)
     return LaplacianMatrix(q)
+
+
+def laplacian_pseudoinverse(q) -> np.ndarray:
+    """The read-only ``LaplacianMatrix.pinv`` of ``q``, or of a
+    ``LaplacianMatrix`` around an array ``q``."""
+    if not isinstance(q, LaplacianMatrix):
+        q = LaplacianMatrix(linalg.as_square_array(q))
+    return q.pinv
 
 
 def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecompositions, Laplacian
+"""Dense symmetric linear algebra: eigendecompositions, Gram
 pseudoinverses, double centering and index-subset validation.
 
 Everything operates on plain float64 numpy arrays.
@@ -42,14 +42,17 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
     return h + h.T
 
 
-def symmetrize(a, rtol: float = 1e-12) -> np.ndarray:
-    """Return (A + A^T)/2, requiring A to be symmetric within ``rtol``; an
-    exactly symmetric A is returned as it is, not copied."""
+_SYMMETRY_RTOL = 1e-12
+
+
+def symmetrize(a) -> np.ndarray:
+    """Return (A + A^T)/2, requiring |A - A^T| <= _SYMMETRY_RTOL max(1, |A|);
+    an exactly symmetric A is returned as it is, not copied."""
     m = as_square_array(a)
     if np.array_equal(m, m.T):
         return m
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > rtol * scale:
+    if np.abs(m - m.T).max() > _SYMMETRY_RTOL * scale:
         raise AsymmetricError("matrix is not symmetric within tolerance")
     return symmetric_part(m)
 
@@ -203,12 +206,6 @@ def laplacian_spectrum(m) -> EigenDecomposition:
             "the weights span too many decades for one spectrum"
         )
     return dec
-
-
-def laplacian_pseudoinverse(q) -> np.ndarray:
-    """Pseudoinverse of a Laplacian (kernel span{u}), last eigenpair
-    deflated; RankDeficientError where ``laplacian_spectrum`` refuses."""
-    return deflated_inverse(laplacian_spectrum(symmetric_part(as_square_array(q))), -1)
 
 
 def _shifted_cholesky_pinv(m: np.ndarray, tol: float) -> np.ndarray | None:

@@ -19,7 +19,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     FaceTooSmallError,
     GraphSimplexError,
-    IndexOutOfRangeError,
     SubsetViolationError,
     TooSmallError,
 )
@@ -145,12 +144,10 @@ def kron_reduce_single(q: LaplacianMatrix, node: int,
                        tol: Tolerances = DEFAULT) -> LaplacianMatrix:
     """Eliminate one node: Q/{v}^c = Q' + diag(q_v) - q_v q_v^T / d_v,
     where q_v holds the link weights into the node and d_v its degree."""
-    n = q.n
-    if n < 3:
+    if q.n < 3:
         raise TooSmallError("single-node elimination needs n >= 3")
-    if not 0 <= node < n:
-        raise IndexOutOfRangeError(f"node {node} out of range for n={n}")
-    perm = [i for i in range(n) if i != node] + [node]
+    node, = linalg.check_subset([node], q.n)
+    perm = [i for i in range(q.n) if i != node] + [node]
     buf = q.symmetric[np.ix_(perm, perm)]
     _eliminate_last(buf, tol)
     return LaplacianMatrix(buf[:-1, :-1])

@@ -44,10 +44,6 @@ class SimplexEmbedding:
     def n(self) -> int:
         return self.vertices.shape[1]
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=1)
-
     def squared_distances(self) -> np.ndarray:
         """NonFiniteEntryError when a distance overflows, as the vertices of
         a graph with weights near 1e-320 can."""
@@ -195,7 +191,7 @@ class AngleClassification:
         return self.codes.shape[0]
 
     def label(self, i: int, j: int) -> str:
-        i, j = min(i, j), max(i, j)
+        i, j = sorted((linalg.as_index(i), linalg.as_index(j)))
         # array indexing would wrap negative indices, so check them here
         if not 0 <= i < j < self.n:
             raise IndexOutOfRangeError(f"no pair ({i}, {j})")

@@ -12,6 +12,7 @@ from graphsimplex.errors import (
     EdgeListSyntaxError,
     NonFiniteEntryError,
     NonPositiveWeightError,
+    NonSquareError,
     NotALaplacianError,
     RankDeficientError,
     SelfLoopError,
@@ -77,6 +78,22 @@ class TestParseGraph:
             gs.parse_graph(doc)
 
 
+class TestDirectConstruction:
+    @pytest.mark.parametrize("labels, links, err, match", [
+        (("a",), (), TooFewNodesError, "at least 2 nodes"),
+        (("a", "a"), ((0, 1),), EdgeListSyntaxError, "duplicate node labels"),
+        (("a", "b"), ((1, 1), (0, 1)), SelfLoopError, "self-loop at node 'b'"),
+        (("a", "b"), ((0, 2),), EdgeListSyntaxError, "out of range"),
+        (("a", "b"), ((5, 5),), EdgeListSyntaxError, "out of range"),
+        (("a", "b"), ((1, 0),), EdgeListSyntaxError, "canonical"),
+        (("a", "b"), ((0, 1), (0, 1)), EdgeListSyntaxError, "duplicate link"),
+    ], ids=["one-node", "duplicate-labels", "self-loop", "out-of-range",
+            "out-of-range-loop", "not-canonical", "duplicate-link"])
+    def test_bad_graphs(self, labels, links, err, match):
+        with pytest.raises(err, match=match):
+            gs.WeightedGraph(labels, links, (1.0,) * len(links))
+
+
 class TestBuildLaplacian:
     def test_single_edge_weight_2(self):
         q = gs.build_laplacian(gs.parse_graph("a b 2"))
@@ -111,6 +128,11 @@ class TestValidateLaplacian:
         assert report.failed_properties() == ["offdiag_nonpositive"]
         assert not report.passed and not report.spectral_passed
         assert report.consistent
+
+    def test_from_matrix_rejects_with_the_report(self):
+        with pytest.raises(NotALaplacianError) as exc:
+            gs.LaplacianMatrix.from_matrix(NONHYPERACUTE)
+        assert exc.value.report.failed_properties() == ["offdiag_nonpositive"]
 
 
 class TestGraphFromLaplacian:
@@ -362,8 +384,8 @@ def mixed_scale_tree():
 
 
 def overflowing_path():
-    # finite entries, but the largest eigenvalue (2.4e308) is not: eigh
-    # fails and validation falls back to eigvalsh of the scaled matrix
+    # finite entries, but the largest eigenvalue (2.4e308) is not: the
+    # scaled eigh serves validation, and the spectrum refuses
     return gs.build_laplacian(gs.parse_graph("a b 8e307\nb c 8e307\n"))
 
 
@@ -413,6 +435,21 @@ class TestValidationReadsTheSharedSpectrum:
         assert got.tol_scale == want.tol_scale
         assert all(got.checks[name] == c for name, c in want.checks.items()
                    if name != "positive_semidefinite")
+
+    def test_overflowing_spectrum_is_decomposed_once(self, eigh_calls, eigvalsh_calls):
+        q = overflowing_path()
+        for tol in (gs.DEFAULT, gs.DEFAULT.with_validation(1e-6)):
+            assert gs.validate_laplacian(q, tol).passed
+        for _ in range(3):
+            with pytest.raises(NonFiniteEntryError,
+                               match="^an eigenvalue overflows the float range$"):
+                q.spectrum
+        assert eigh_calls == [(3, 3)]
+        assert eigvalsh_calls == []
+
+    def test_empty_matrix_has_no_spectrum(self):
+        with pytest.raises(NonSquareError, match="non-empty"):
+            gs.LaplacianMatrix(np.zeros((0, 0))).spectrum
 
     def test_unresolved_spectrum_validates_and_refuses_once(self, eigh_calls):
         # validation reads the eigenvalues that the spectrum's rule refuses;

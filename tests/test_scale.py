@@ -3,7 +3,8 @@
 Every weight is multiplied by 10^k, k from -250 to 250, on small connected
 graphs and on the n = 200 benchmark fixture: Q^dagger stays a
 pseudoinverse, resistances scale as 1/s, and neither the angle codes nor
-the validation verdicts change.
+the validation verdicts change. Multiplied by 4^k instead, every
+Laplacian-side answer scales by an exact power of two, bitwise.
 """
 
 import importlib.util
@@ -91,3 +92,38 @@ def test_tree_count_of_the_n1000_fixture_raises():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEntryError, match="spanning tree count"):
             gs.spanning_tree_count(q)
+
+
+POWERS_OF_4 = [-400, -240, -120, 120, 240, 400]
+
+
+def answers(g):
+    """The Laplacian-side answers of g, each with the power of two by
+    which it scales when every weight is multiplied by 4^k: (exponent per
+    k, array)."""
+    q = gs.build_laplacian(g)
+    fb = gs.fiedler_blocks(q)
+    return {
+        "mu": (2, q.spectrum.eigenvalues),
+        "pinv": (-2, q.pinv),
+        "omega": (-2, gs.resistance_matrix(q)),
+        "vertices": (-1, gs.embed_from_laplacian(q).vertices),
+        "zeta": (-2, fb.zeta),
+        "r": (0, fb.r),
+        "radius": (-1, np.array(fb.radius)),
+        "schur": (2, gs.schur_complement(q, list(range(0, g.n, 3))).matrix),
+        "cosines": (0, gs.dihedral_angles(q).cosines),
+    }, verdicts(gs.validate_laplacian(q))
+
+
+@pytest.mark.parametrize("k", POWERS_OF_4)
+def test_laplacian_answers_scale_bitwise_by_powers_of_4(k):
+    # one eigh of Q scaled by an exact power of two serves every answer, so
+    # weights times 4^k scale each one by an exact power of two
+    g = random_graph(np.random.default_rng(5), 60)
+    want, want_verdicts = answers(g)
+    got, got_verdicts = answers(
+        gs.WeightedGraph(g.labels, g.links, tuple(w * 4.0**k for w in g.weights)))
+    assert got_verdicts == want_verdicts
+    for name, (power, value) in want.items():
+        assert np.array_equal(got[name][1], np.ldexp(value, power * k)), name

@@ -172,6 +172,26 @@ class TestKronReduceSingle:
         with pytest.raises(TooSmallError):
             gs.kron_reduce_single(laplacian("a b 1"), 0)
 
+    @pytest.mark.parametrize("node", [True, 1.5, np.float64(1.0), "1"],
+                             ids=["bool", "fraction", "numpy-float", "string"])
+    def test_node_must_be_an_integer(self, node):
+        # True used to eliminate node 1; the others reached numpy as a bare
+        # IndexError or TypeError
+        q = gs.build_laplacian(path_graph(3))
+        with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+            gs.kron_reduce_single(q, node)
+
+    @pytest.mark.parametrize("node", [3, -1])
+    def test_node_out_of_range(self, node):
+        with pytest.raises(IndexOutOfRangeError, match="out of range for n=3"):
+            gs.kron_reduce_single(gs.build_laplacian(path_graph(3)), node)
+
+    def test_numpy_integers_are_nodes(self):
+        q = gs.build_laplacian(path_graph(4))
+        want = gs.kron_reduce_single(q, 1).matrix
+        for node in (np.int64(1), np.uint8(1)):
+            assert np.array_equal(gs.kron_reduce_single(q, node).matrix, want)
+
 
 class TestSchurViaPinv:
     def test_matches_block_elimination(self, small_corpus, rng):
@@ -407,6 +427,15 @@ class TestResistancePreservation:
             keep = sorted(rng.choice(q.n, size=k, replace=False).tolist())
             report = gs.check_resistance_preservation(q, keep)
             assert report.passed(1e-9)
+
+
+@pytest.mark.parametrize("check", [
+    lambda q: gs.check_quotient(q, [0, 1, 2], [1]),
+    lambda q: gs.check_resistance_preservation(q, [2]),
+], ids=["quotient-one-node-w", "preservation-one-kept-node"])
+def test_a_face_needs_two_nodes(check):
+    with pytest.raises(FaceTooSmallError):
+        check(gs.build_laplacian(path_graph(4)))
 
 
 @given(connected_graphs(max_nodes=9))

@@ -405,6 +405,15 @@ class TestAngleArrays:
         with pytest.raises(IndexOutOfRangeError):
             cls.label(i, j)
 
+    @pytest.mark.parametrize("i, j", [(True, 2), (0.5, 1), (0, np.float64(2.0)), (0, "2")],
+                             ids=["bool", "fraction", "numpy-float", "string"])
+    def test_label_indices_must_be_integers(self, i, j):
+        # these used to raise TypeError or IndexError from the comparison or
+        # the array lookup
+        cls = gs.dihedral_angles(gs.gram_pair_from_pinv(NONHYPERACUTE))
+        with pytest.raises(IndexOutOfRangeError, match="not an integer"):
+            cls.label(i, j)
+
 
 def eager_pairs(cls):
     """The tuple ``.pairs`` held before it became a view: every row built at
