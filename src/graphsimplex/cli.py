@@ -17,7 +17,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import resistance, schur, simplex
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import GraphSimplexError, UnknownLabelError
 from .graphs import (
     WeightedGraph,
@@ -99,7 +99,7 @@ def _resolve_labels(g: WeightedGraph, spec: str) -> list[int]:
 
 
 def cmd_angles(args, g, q) -> int:
-    rows = simplex.dihedral_angles(q, DEFAULT.with_validation(args.tol)).pair_rows()
+    rows = simplex.dihedral_angles(q, Tolerances(args.tol)).pair_rows()
     if args.format == "json":
         names = [json.dumps(label) for label in g.labels]
         pairs = ('{"i": %s, "j": %s, "cosine": %s, "label": "%s"}'

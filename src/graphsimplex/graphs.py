@@ -48,6 +48,9 @@ class WeightedGraph:
             raise TooFewNodesError(f"need at least 2 nodes, got {n}")
         if len(set(self.labels)) != n:
             raise EdgeListSyntaxError("duplicate node labels")
+        if len(self.links) != len(self.weights):
+            raise EdgeListSyntaxError(
+                f"{len(self.links)} links but {len(self.weights)} weights")
         seen = set()
         for (i, j), w in zip(self.links, self.weights):
             if not (0 <= i < n and 0 <= j < n):
@@ -167,8 +170,8 @@ class LaplacianMatrix:
     """An n x n Laplacian with a cached symmetric part, pseudoinverse and
     eigendecomposition, all held as read-only arrays, one cached
     ``ValidationReport`` per ``Tolerances``, and its most recent Kron
-    reduction (``schur.schur_complement``), keyed by kept nodes and
-    ``Tolerances``. One ``eigh`` of the symmetric part, exactly scaled,
+    reduction (``schur.schur_complement``), keyed by the kept nodes in
+    order. One ``eigh`` of the symmetric part, exactly scaled,
     serves validation, the spectrum and every answer read off it.
 
     Constructed unvalidated by trusted code paths (``build_laplacian``,
@@ -181,7 +184,7 @@ class LaplacianMatrix:
         self.matrix = m
         self.n = m.shape[0]
         self._reports: dict[Tolerances, ValidationReport] = {}
-        self._reduction: tuple[tuple, LaplacianMatrix] | None = None
+        self._reduction: tuple[tuple[int, ...], LaplacianMatrix] | None = None
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerances = DEFAULT) -> "LaplacianMatrix":
@@ -350,7 +353,7 @@ def _check_properties(a, tol: Tolerances,
     sym = linalg.symmetric_part(scaled)
     vals = np.linalg.eigvalsh(sym) if q is None else q._scaled[1].eigenvalues
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
-    zero_cut = tol.zero_eigenvalue * mu_max
+    zero_cut = DEFAULT.zero_eigenvalue * mu_max
     min_val = float(vals.min())
     checks["positive_semidefinite"] = PropertyCheck(
         "positive_semidefinite", min_val >= -zero_cut,

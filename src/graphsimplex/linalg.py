@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     AsymmetricError,
     DuplicateIndexError,
@@ -46,13 +46,12 @@ _SYMMETRY_RTOL = 1e-12
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A^T)/2, requiring |A - A^T| <= _SYMMETRY_RTOL max(1, |A|);
-    an exactly symmetric A is returned as it is, not copied."""
+    """Return (A + A^T)/2, requiring |A - A^T| <= _SYMMETRY_RTOL max|A| at
+    any scale; an exactly symmetric A is returned as it is, not copied."""
     m = as_square_array(a)
     if np.array_equal(m, m.T):
         return m
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > _SYMMETRY_RTOL * scale:
+    if np.abs(m - m.T).max() > _SYMMETRY_RTOL * float(np.abs(m).max()):
         raise AsymmetricError("matrix is not symmetric within tolerance")
     return symmetric_part(m)
 
@@ -242,7 +241,7 @@ def _shifted_cholesky_pinv(m: np.ndarray, tol: float) -> np.ndarray | None:
     return x if np.isfinite(x).all() else None
 
 
-def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
+def pinv_kernel_u(a) -> np.ndarray:
     """Pseudoinverse of a PSD matrix whose kernel is exactly span{u}.
 
     A shifted Cholesky factorization answers wherever it can certify the
@@ -252,7 +251,7 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     """
     m = symmetrize(a)
     # The eigen rule passes iff exactly one eigenvalue has |l| <= t mu_max
-    # (t = tol.zero_eigenvalue). In units of 2^e, S = M 2^-e has largest
+    # (t = DEFAULT.zero_eigenvalue). In units of 2^e, S = M 2^-e has largest
     # diagonal d in [1/2, 1) and N = |S|_inf; d <= mu_max <= N, since a
     # diagonal entry is a Rayleigh quotient. With P = uu^T/n and the power
     # of two c >= N, the screen requires
@@ -273,7 +272,7 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     # eigenvalue all fit in that margin, so the eigen route would find
     # exactly the one zero, and its answer, S^dagger 2^-e, is
     # (A^{-1} - P/c) 2^-e = (X - 1/(cn)) 2^-e up to the same errors.
-    p = _shifted_cholesky_pinv(m, tol.zero_eigenvalue)
+    p = _shifted_cholesky_pinv(m, DEFAULT.zero_eigenvalue)
     if p is not None:
         return p
     dec = eigh(m)
@@ -281,7 +280,7 @@ def pinv_kernel_u(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     mu_max = float(vals.max(initial=0.0))
     if mu_max <= 0.0:
         raise RankDeficientError("matrix is numerically zero")
-    zero = np.abs(vals) <= tol.zero_eigenvalue * mu_max
+    zero = np.abs(vals) <= DEFAULT.zero_eigenvalue * mu_max
     if int(zero.sum()) != 1:
         raise RankDeficientError(
             f"expected exactly one zero eigenvalue, found {int(zero.sum())}"

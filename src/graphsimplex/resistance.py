@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     AsymmetricError,
     DegenerateDistanceMatrixError,
@@ -112,8 +112,7 @@ def verify_fiedler_identity(q: LaplacianMatrix) -> IdentityResidual:
     return _identity_residual(resistance_matrix(q), q.matrix, fb.r, fb.radius)
 
 
-def verify_identity_general(pinv_gram, distances=None,
-                            tol: Tolerances = DEFAULT) -> IdentityResidual:
+def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
     """The block identity for an arbitrary canonical pseudoinverse Gram
     matrix (PSD, kernel span{u}), hyperacute or not.
 
@@ -122,7 +121,7 @@ def verify_identity_general(pinv_gram, distances=None,
     one row and column per vertex.
     """
     mdag = linalg.symmetrize(pinv_gram)
-    m = linalg.pinv_kernel_u(mdag, tol)  # raises RankDeficientError
+    m = linalg.pinv_kernel_u(mdag)  # raises RankDeficientError
     if distances is None:
         distances = linalg.squared_distances(m)
     else:
@@ -158,7 +157,7 @@ class MetricReport:
         return self.positive_offdiag and self.violations == 0
 
 
-def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricReport:
+def check_metric(d, mode: str = "plain") -> MetricReport:
     """Verify metric axioms on D (mode "plain") or entrywise sqrt(D)
     (mode "sqrt"): zero diagonal, symmetry, positive off-diagonal, and all
     ordered triangle inequalities d(i,j) + d(j,k) >= d(i,k).
@@ -176,15 +175,15 @@ def check_metric(d, mode: str = "plain", tol: Tolerances = DEFAULT) -> MetricRep
     m = linalg.as_square_array(d)
     n = m.shape[0]
     scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
-    if np.abs(np.diag(m)).max() > tol.metric_slack * scale:
+    if np.abs(np.diag(m)).max() > DEFAULT.metric_slack * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
-    if np.abs(m - m.T).max() > tol.metric_slack * scale:
+    if np.abs(m - m.T).max() > DEFAULT.metric_slack * scale:
         raise AsymmetricError("distance matrix is not symmetric")
     if mode == "sqrt":
         m = np.sqrt(np.maximum(m, 0.0))
     positive_offdiag = bool(n < 2 or (m + np.diag(np.full(n, np.inf))).min() > 0.0)
 
-    slack = tol.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
+    slack = DEFAULT.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
     # deficit[i, j, k] = (m_ik - m_ij) - m_jk over all ordered triples, in
     # float64 as written; the worst triple is the first maximum in C order
     violations, worst, flat = 0, -np.inf, 0

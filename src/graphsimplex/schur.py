@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     FaceTooSmallError,
     GraphSimplexError,
@@ -27,16 +27,16 @@ from .resistance import resistance_matrix
 from .simplex import face_gram, gram_pair_from_laplacian
 
 
-def _canonicalize(raw: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _canonicalize(raw: np.ndarray) -> np.ndarray:
     """Restore exact Laplacian structure after rounding: symmetrize, clamp
     tiny positive off-diagonals to zero, and rebuild the diagonal from the
     off-diagonal row sums."""
     m = linalg.symmetric_part(raw)
-    _canonicalize_in_place(m, tol)
+    _canonicalize_in_place(m)
     return m
 
 
-def _canonicalize_in_place(m: np.ndarray, tol: Tolerances) -> None:
+def _canonicalize_in_place(m: np.ndarray) -> None:
     """The clamp and diagonal rebuild of ``_canonicalize``, done in place
     on a symmetric matrix or a view into one."""
     if m.shape[0] == 1:  # no links; the row-sum rebuild would write -0.0
@@ -47,11 +47,11 @@ def _canonicalize_in_place(m: np.ndarray, tol: Tolerances) -> None:
     # Off-diagonals of a Laplacian are <= 0, so one max() pass usually
     # rules out any clamp without building the masks.
     if m.max() > 0:
-        m[(m > 0) & (m <= tol.clamp * scale)] = 0.0
+        m[(m > 0) & (m <= DEFAULT.clamp * scale)] = 0.0
     np.fill_diagonal(m, -m.sum(axis=1))
 
 
-def _eliminate_last(a: np.ndarray, tol: Tolerances) -> None:
+def _eliminate_last(a: np.ndarray) -> None:
     """Eliminate the last node of the symmetric Laplacian ``a`` in place:
     afterwards ``a[:-1, :-1]`` is the canonical Kron reduction and the last
     row and column are stale."""
@@ -59,10 +59,10 @@ def _eliminate_last(a: np.ndarray, tol: Tolerances) -> None:
     col = a[:k, k]
     core = a[:k, :k]
     core -= np.outer(col, col) / a[k, k]
-    _canonicalize_in_place(core, tol)
+    _canonicalize_in_place(core)
 
 
-def _eliminate_panel(a: np.ndarray, k: int, tol: Tolerances) -> None:
+def _eliminate_panel(a: np.ndarray, k: int) -> None:
     """Eliminate the nodes ``k:`` of the symmetric Laplacian ``a`` in place
     as one panel: afterwards ``a[:k, :k]`` is the canonical Kron reduction
     and the rest of ``a`` is stale.
@@ -82,7 +82,7 @@ def _eliminate_panel(a: np.ndarray, k: int, tol: Tolerances) -> None:
     x = linalg.lower_solve(ell, a[k:, :k])
     core = a[:k, :k]
     core -= x.T @ x
-    _canonicalize_in_place(core, tol)
+    _canonicalize_in_place(core)
 
 
 # Nodes per panel of ``_eliminate_in_order``. Eliminating 750 of 1000
@@ -94,7 +94,7 @@ _PANEL = 256
 
 
 def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
-                        order: Sequence[int], tol: Tolerances) -> np.ndarray:
+                        order: Sequence[int]) -> np.ndarray:
     """Eliminate the nodes of ``order``, first to last, in panels of
     ``_PANEL`` consecutive nodes (the last panel may be shorter), in one
     buffer holding W and then ``order`` reversed, so that each panel drops
@@ -108,23 +108,22 @@ def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
     perm = w_idx + list(order[::-1])
     buf = q.symmetric[np.ix_(perm, perm)]
     for k in range(len(perm), len(w_idx), -_PANEL):
-        _eliminate_panel(buf[:k, :k], max(k - _PANEL, len(w_idx)), tol)
+        _eliminate_panel(buf[:k, :k], max(k - _PANEL, len(w_idx)))
     return buf[:len(w_idx), :len(w_idx)]
 
 
-def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
-                     tol: Tolerances = DEFAULT) -> LaplacianMatrix:
+def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
     """Q/V^c = Q_VV - Q_VVc (Q_VcVc)^{-1} Q_VcV, rows/columns ordered as in
     ``keep``. Keeping every node returns Q unchanged; otherwise the whole
     complement is eliminated as one panel (``_eliminate_panel``), which
     raises GraphSimplexError when Q_VcVc is not positive definite.
 
     Q keeps its most recent reduction, so asking again for the same
-    ``keep``, in the same order and with the same ``tol``, returns that
-    reduction without factoring anything.
+    ``keep``, in the same order, returns that reduction without factoring
+    anything.
     """
     idx = linalg.check_subset(keep, q.n)
-    key = (tuple(idx), tol)
+    key = tuple(idx)
     if q._reduction is not None and q._reduction[0] == key:
         return q._reduction[1]
     kept = set(idx)
@@ -134,14 +133,13 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int],
     else:
         perm = idx + elim
         buf = q.symmetric[np.ix_(perm, perm)]
-        _eliminate_panel(buf, len(idx), tol)
+        _eliminate_panel(buf, len(idx))
         reduced = LaplacianMatrix(buf[:len(idx), :len(idx)])
     q._reduction = (key, reduced)
     return reduced
 
 
-def kron_reduce_single(q: LaplacianMatrix, node: int,
-                       tol: Tolerances = DEFAULT) -> LaplacianMatrix:
+def kron_reduce_single(q: LaplacianMatrix, node: int) -> LaplacianMatrix:
     """Eliminate one node: Q/{v}^c = Q' + diag(q_v) - q_v q_v^T / d_v,
     where q_v holds the link weights into the node and d_v its degree."""
     if q.n < 3:
@@ -149,17 +147,16 @@ def kron_reduce_single(q: LaplacianMatrix, node: int,
     node, = linalg.check_subset([node], q.n)
     perm = [i for i in range(q.n) if i != node] + [node]
     buf = q.symmetric[np.ix_(perm, perm)]
-    _eliminate_last(buf, tol)
+    _eliminate_last(buf)
     return LaplacianMatrix(buf[:-1, :-1])
 
 
-def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int],
-                   tol: Tolerances = DEFAULT) -> LaplacianMatrix:
+def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
     """The complementary route: (Q/V^c)^dagger is the centered submatrix of
     Q^dagger, the Gram matrix of the face on V, so the reduction is that
     face's pseudoinverse Gram."""
-    face = face_gram(gram_pair_from_laplacian(q), keep, tol)
-    return LaplacianMatrix(_canonicalize(face.pinv_gram, tol))
+    face = face_gram(gram_pair_from_laplacian(q), keep)
+    return LaplacianMatrix(_canonicalize(face.pinv_gram))
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ class QuotientReport:
 
 
 def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
-                   seed: int = 0, tol: Tolerances = DEFAULT) -> QuotientReport:
+                   seed: int = 0) -> QuotientReport:
     """Verify the quotient property on W subseteq V: reducing straight to W
     equals reducing to V and then to W, and equals eliminating the nodes of
     N \\ W in a random (seeded) order.
@@ -198,17 +195,17 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
         raise FaceTooSmallError("W needs at least 2 nodes")
 
     # stage one first: a reduction onto V that Q still keeps is reused
-    stage_one = schur_complement(q, v_idx, tol)
-    one_shot = schur_complement(q, w_idx, tol).matrix
+    stage_one = schur_complement(q, v_idx)
+    one_shot = schur_complement(q, w_idx).matrix
 
     w_in_v = [v_pos[i] for i in w_idx]
-    staged = schur_complement(stage_one, w_in_v, tol).matrix
+    staged = schur_complement(stage_one, w_in_v).matrix
     staged_residual = float(np.abs(one_shot - staged).max())
 
     rng = np.random.default_rng(seed)
     to_eliminate = [i for i in range(q.n) if i not in w_set]
     order = tuple(int(i) for i in rng.permutation(to_eliminate))
-    incremental = _eliminate_in_order(q, w_idx, order, tol)
+    incremental = _eliminate_in_order(q, w_idx, order)
     incremental_residual = float(np.abs(one_shot - incremental).max())
 
     return QuotientReport(
@@ -229,14 +226,14 @@ class PreservationReport:
         return self.residual <= threshold
 
 
-def check_resistance_preservation(q: LaplacianMatrix, keep: Sequence[int],
-                                  tol: Tolerances = DEFAULT) -> PreservationReport:
+def check_resistance_preservation(q: LaplacianMatrix,
+                                  keep: Sequence[int]) -> PreservationReport:
     """Effective resistances between kept nodes must be unchanged by the
     reduction: Omega(Q/V^c)_ab = Omega(Q)_{V[a] V[b]}."""
     idx = linalg.check_subset(keep, q.n)
     if len(idx) < 2:
         raise FaceTooSmallError("need at least 2 kept nodes")
-    reduced = schur_complement(q, idx, tol)
+    reduced = schur_complement(q, idx)
     omega_reduced = resistance_matrix(reduced)
     omega_restricted = linalg.squared_distances(q.pinv[np.ix_(idx, idx)])
     return PreservationReport(

@@ -84,7 +84,7 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     return SimplexEmbedding(vertices=s)
 
 
-def canonical_gram(vertices, tol: Tolerances = DEFAULT) -> GramPair:
+def canonical_gram(vertices) -> GramPair:
     """Canonical Gram pair of the Simplex spanned by the given vertex
     matrix (d x n, one column per vertex), for any representative: the
     result is invariant under rotations, reflections and translations."""
@@ -92,25 +92,25 @@ def canonical_gram(vertices, tol: Tolerances = DEFAULT) -> GramPair:
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
     try:
-        return _centered_pair(s.T @ s, tol)
+        return _centered_pair(s.T @ s)
     except GraphSimplexError as exc:
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (rank < {s.shape[1] - 1})"
         ) from exc
 
 
-def _centered_pair(gram: np.ndarray, tol: Tolerances) -> GramPair:
+def _centered_pair(gram: np.ndarray) -> GramPair:
     """Canonical Gram pair of the points with (uncentered) Gram matrix
     ``gram``: the double-centered Gram and its pseudoinverse."""
     m = linalg.double_center(gram)
-    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m, tol))
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m))
 
 
-def gram_pair_from_pinv(pinv_gram, tol: Tolerances = DEFAULT) -> GramPair:
+def gram_pair_from_pinv(pinv_gram) -> GramPair:
     """Gram pair of the Simplex whose canonical pseudoinverse Gram matrix is
     given (e.g. a Laplacian, or a non-hyperacute candidate)."""
     mdag = linalg.symmetrize(pinv_gram).copy()  # not the caller's array
-    return GramPair(gram=linalg.pinv_kernel_u(mdag, tol), pinv_gram=mdag)
+    return GramPair(gram=linalg.pinv_kernel_u(mdag), pinv_gram=mdag)
 
 
 def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:
@@ -270,13 +270,13 @@ def face_distance(d, v: Sequence[int]) -> np.ndarray:
     return m[np.ix_(idx, idx)].copy()
 
 
-def face_gram(gp: GramPair, v: Sequence[int], tol: Tolerances = DEFAULT) -> GramPair:
+def face_gram(gp: GramPair, v: Sequence[int]) -> GramPair:
     """Canonical Gram pair of the face on ``v``: the centered submatrix
     of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v)."""
     idx = linalg.check_subset(v, gp.n)
     if len(idx) < 2:
         raise FaceTooSmallError("face Gram needs at least 2 vertices")
-    return _centered_pair(gp.gram[np.ix_(idx, idx)], tol)
+    return _centered_pair(gp.gram[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)

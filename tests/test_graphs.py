@@ -79,19 +79,21 @@ class TestParseGraph:
 
 
 class TestDirectConstruction:
-    @pytest.mark.parametrize("labels, links, err, match", [
-        (("a",), (), TooFewNodesError, "at least 2 nodes"),
-        (("a", "a"), ((0, 1),), EdgeListSyntaxError, "duplicate node labels"),
-        (("a", "b"), ((1, 1), (0, 1)), SelfLoopError, "self-loop at node 'b'"),
-        (("a", "b"), ((0, 2),), EdgeListSyntaxError, "out of range"),
-        (("a", "b"), ((5, 5),), EdgeListSyntaxError, "out of range"),
-        (("a", "b"), ((1, 0),), EdgeListSyntaxError, "canonical"),
-        (("a", "b"), ((0, 1), (0, 1)), EdgeListSyntaxError, "duplicate link"),
+    @pytest.mark.parametrize("labels, links, weights, err, match", [
+        (("a",), (), (), TooFewNodesError, "at least 2 nodes"),
+        (("a", "a"), ((0, 1),), (1.0,), EdgeListSyntaxError, "duplicate node labels"),
+        (("a", "b"), ((1, 1), (0, 1)), (1.0, 1.0), SelfLoopError, "self-loop at node 'b'"),
+        (("a", "b"), ((0, 2),), (1.0,), EdgeListSyntaxError, "out of range"),
+        (("a", "b"), ((5, 5),), (1.0,), EdgeListSyntaxError, "out of range"),
+        (("a", "b"), ((1, 0),), (1.0,), EdgeListSyntaxError, "canonical"),
+        (("a", "b"), ((0, 1), (0, 1)), (1.0, 1.0), EdgeListSyntaxError, "duplicate link"),
+        (("a", "b", "c"), ((0, 1), (1, 2)), (2.0,), EdgeListSyntaxError,
+         "^2 links but 1 weights$"),
     ], ids=["one-node", "duplicate-labels", "self-loop", "out-of-range",
-            "out-of-range-loop", "not-canonical", "duplicate-link"])
-    def test_bad_graphs(self, labels, links, err, match):
+            "out-of-range-loop", "not-canonical", "duplicate-link", "weights-short"])
+    def test_bad_graphs(self, labels, links, weights, err, match):
         with pytest.raises(err, match=match):
-            gs.WeightedGraph(labels, links, (1.0,) * len(links))
+            gs.WeightedGraph(labels, links, weights)
 
 
 class TestBuildLaplacian:
@@ -327,13 +329,13 @@ class TestLaplacianCaches:
     def test_each_tolerance_has_its_own_report(self, eigh_calls, eigvalsh_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=8))
         default = gs.validate_laplacian(q)
-        loose = gs.validate_laplacian(q, gs.DEFAULT.with_validation(1e-6))
+        loose = gs.validate_laplacian(q, gs.Tolerances(1e-6))
         assert loose is not default
         assert loose.tol_scale == 1e3 * default.tol_scale
         assert gs.validate_laplacian(q, gs.Tolerances(validation=1e-6)) is loose
         assert eigh_calls == [(8, 8)]  # two Tolerances, one decomposition
         assert eigvalsh_calls == []
-        for tol, report in ((gs.DEFAULT, default), (gs.DEFAULT.with_validation(1e-6), loose)):
+        for tol, report in ((gs.DEFAULT, default), (gs.Tolerances(1e-6), loose)):
             assert_same_report_but_min_eigenvalue(report, gs.validate_laplacian(q.matrix, tol), q)
 
     def test_report_checks_are_read_only(self, rng):
@@ -438,7 +440,7 @@ class TestValidationReadsTheSharedSpectrum:
 
     def test_overflowing_spectrum_is_decomposed_once(self, eigh_calls, eigvalsh_calls):
         q = overflowing_path()
-        for tol in (gs.DEFAULT, gs.DEFAULT.with_validation(1e-6)):
+        for tol in (gs.DEFAULT, gs.Tolerances(1e-6)):
             assert gs.validate_laplacian(q, tol).passed
         for _ in range(3):
             with pytest.raises(NonFiniteEntryError,

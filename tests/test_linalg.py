@@ -138,6 +138,15 @@ class TestSymmetrize:
         with pytest.raises(AsymmetricError):
             linalg.symmetrize(m)
 
+    @pytest.mark.parametrize("k", [-300, -12, 0, 12, 300])
+    def test_asymmetry_verdict_does_not_depend_on_scale(self, k):
+        # 30% asymmetry, under 1e-12 in absolute terms at k <= -12, so only
+        # a bound relative to max|A| rejects it at every k
+        m = np.array([[2.0, -1.3, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]) * 10.0**k
+        for call in (gs.eigh, gs.pinv_kernel_u):
+            with pytest.raises(AsymmetricError):
+                call(m)
+
 
 @pytest.mark.parametrize("call", [gs.eigh, gs.validate_laplacian, gs.check_metric,
                                   gs.pinv_kernel_u, gs.laplacian_pseudoinverse])
@@ -294,20 +303,20 @@ class TestLowerInverse:
         assert all(rows == cols <= linalg._LEAF for rows, cols in solve_calls)
 
 
-def outcome(m, tol=gs.config.DEFAULT):
+def outcome(m):
     """pinv_kernel_u's answer, or the type and message of its error."""
     try:
-        return gs.pinv_kernel_u(m, tol)
+        return gs.pinv_kernel_u(m)
     except GraphSimplexError as exc:
         return type(exc), str(exc)
 
 
-def eigen_outcome(m, tol=gs.config.DEFAULT):
+def eigen_outcome(m):
     """``outcome`` with the Cholesky screen off: deflated_inverse(eigh(m), .)
     under the eigen rule, as the only route."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_shifted_cholesky_pinv", lambda m, tol: None)
-        return outcome(m, tol)
+        return outcome(m)
 
 
 def kernel_u_matrix(rng, eigenvalues):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,7 +233,7 @@ class TestSchurViaPinv:
             j = np.eye(k) - np.full((k, k), 1.0 / k)
             centered = j @ q.pinv[np.ix_(keep, keep)] @ j
             reduced = gs.pinv_kernel_u(0.5 * (centered + centered.T))
-            want = _canonicalize(reduced, DEFAULT)
+            want = _canonicalize(reduced)
             got = gs.schur_via_pinv(q, keep).matrix
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -289,7 +288,7 @@ class TestCheckQuotient:
                 remaining.remove(node)
             perm = [remaining.index(i) for i in w]
             expected = folded.matrix[np.ix_(perm, perm)]
-            incremental = _eliminate_in_order(q, w, report.elimination_order, DEFAULT)
+            incremental = _eliminate_in_order(q, w, report.elimination_order)
             assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
             one_shot = gs.schur_complement(q, w).matrix
             assert report.incremental_residual == np.abs(one_shot - incremental).max()
@@ -320,7 +319,7 @@ class TestPanelElimination:
         assert report.elimination_order == tuple(
             np.random.default_rng(n).permutation(complement))
         expected = folded_single_eliminations(q, w, report.elimination_order)
-        incremental = _eliminate_in_order(q, w, report.elimination_order, DEFAULT)
+        incremental = _eliminate_in_order(q, w, report.elimination_order)
         assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
         assert report.incremental_residual <= 1e-12 * np.abs(expected).max()
 
@@ -332,14 +331,14 @@ class TestPanelElimination:
         w = sorted(rng.choice(n, size=3, replace=False).tolist())
         order = tuple(rng.permutation([i for i in range(n) if i not in w]).tolist())
         expected = folded_single_eliminations(q, w, order)
-        incremental = _eliminate_in_order(q, w, order, DEFAULT)
+        incremental = _eliminate_in_order(q, w, order)
         assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_not_positive_definite_pivot_rejected(self):
         # the isolated node c makes the eliminated panel singular
         q = gs.LaplacianMatrix(np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], float))
         with pytest.raises(GraphSimplexError, match="not positive definite"):
-            _eliminate_in_order(q, [0, 1], [2], DEFAULT)
+            _eliminate_in_order(q, [0, 1], [2])
 
 
 def lu_route_reduction(q, keep):
@@ -353,7 +352,7 @@ def lu_route_reduction(q, keep):
     x = np.linalg.solve(np.linalg.cholesky(buf[k:, k:]), buf[k:, :k])
     core = buf[:k, :k]
     core -= x.T @ x
-    _canonicalize_in_place(core, DEFAULT)
+    _canonicalize_in_place(core)
     return core
 
 
@@ -401,16 +400,15 @@ class TestKeptReduction:
         # onto W, its second stage from V, and its seeded order in one panel
         assert cholesky_calls == [(20, 20), (35, 35), (15, 15), (35, 35)]
 
-    def test_another_tol_or_order_misses(self, graph, cholesky_calls):
+    def test_another_order_misses(self, graph, cholesky_calls):
         q, v, _ = graph
         first = gs.schur_complement(q, v)
-        gs.schur_complement(q, v, replace(DEFAULT, clamp=1e-13))
         reversed_order = gs.schur_complement(q, v[::-1])
         assert gs.schur_complement(q, v[::-1]) is reversed_order
-        assert len(cholesky_calls) == 3
+        assert len(cholesky_calls) == 2
         # one slot: the reversed order displaced the first reduction
         again = gs.schur_complement(q, v)
-        assert len(cholesky_calls) == 4
+        assert len(cholesky_calls) == 3
         assert again is not first and np.array_equal(again.matrix, first.matrix)
 
 

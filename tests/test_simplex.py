@@ -465,14 +465,14 @@ class TestPairView:
         assert held < 64 * 1024  # the eager tuple held 6.2 MiB
 
 
-def projector_pair(gram, tol=gs.DEFAULT):
+def projector_pair(gram):
     """Centering by the dense projector J = I - uu^T/n, as done before the
     O(n^2) double centering: the symmetrized J M J and its pseudoinverse."""
     n = gram.shape[0]
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     m = j @ gram @ j
     m = 0.5 * (m + m.T)
-    return m, gs.pinv_kernel_u(m, tol)
+    return m, gs.pinv_kernel_u(m)
 
 
 def assert_close(got, want, rtol=1e-12):
