@@ -161,11 +161,6 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(tuple(labels), links, weights)
 
 
-def _exponent(m: np.ndarray) -> int:
-    """The binary exponent e of max|m|: 2^-e m has its entries in (-1, 1)."""
-    return int(np.frexp(max(m.max(), -m.min()))[1])
-
-
 class LaplacianMatrix:
     """An n x n Laplacian with a cached symmetric part, pseudoinverse and
     eigendecomposition, all held as read-only arrays, one cached
@@ -215,10 +210,10 @@ class LaplacianMatrix:
 
     @cached_property
     def _scaled(self) -> tuple[int, linalg.EigenDecomposition]:
-        """e = ``_exponent(matrix)`` and the read-only ``linalg.eigh`` of
+        """e = ``linalg.exponent(matrix)`` and the read-only ``linalg.eigh`` of
         2^-e ``symmetric``, whose entries lie in (-1, 1), so that none of
         its eigenvalues overflows; without the resolvability rule."""
-        e = _exponent(linalg.as_square_array(self.matrix))
+        e = linalg.exponent(linalg.as_square_array(self.matrix))
         dec = linalg.eigh(np.ldexp(self.symmetric, -e))
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
@@ -316,7 +311,7 @@ def _check_properties(a, tol: Tolerances,
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
     # in the input's units. q's scaled eigh is of the same 2^-e m.
-    e = _exponent(m)
+    e = linalg.exponent(m)
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
 

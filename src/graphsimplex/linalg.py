@@ -42,16 +42,28 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
     return h + h.T
 
 
+def exponent(m: np.ndarray) -> int:
+    """The binary exponent e of max|m|: 2^-e m has its entries in (-1, 1)."""
+    return int(np.frexp(max(m.max(), -m.min()))[1])
+
+
 _SYMMETRY_RTOL = 1e-12
 
 
+def is_asymmetric(m: np.ndarray) -> bool:
+    """Whether |M - M^T| > _SYMMETRY_RTOL max|M|, at any scale. The rule is
+    tested on 2^-e M (``exponent``), so the difference cannot overflow."""
+    s = np.ldexp(m, -exponent(m))
+    return bool(np.abs(s - s.T).max() > _SYMMETRY_RTOL * np.abs(s).max())
+
+
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A^T)/2, requiring |A - A^T| <= _SYMMETRY_RTOL max|A| at
-    any scale; an exactly symmetric A is returned as it is, not copied."""
+    """Return (A + A^T)/2, requiring ``not is_asymmetric(A)``; an exactly
+    symmetric A is returned as it is, not copied."""
     m = as_square_array(a)
     if np.array_equal(m, m.T):
         return m
-    if np.abs(m - m.T).max() > _SYMMETRY_RTOL * float(np.abs(m).max()):
+    if is_asymmetric(m):
         raise AsymmetricError("matrix is not symmetric within tolerance")
     return symmetric_part(m)
 

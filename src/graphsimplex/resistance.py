@@ -177,7 +177,7 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
     scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
     if np.abs(np.diag(m)).max() > DEFAULT.metric_slack * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
-    if np.abs(m - m.T).max() > DEFAULT.metric_slack * scale:
+    if linalg.is_asymmetric(m):
         raise AsymmetricError("distance matrix is not symmetric")
     if mode == "sqrt":
         m = np.sqrt(np.maximum(m, 0.0))
@@ -208,7 +208,7 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
     # underflow), and s_ij + cut rounds by at most 2^-52. So no deficit of
     # an unflagged row reaches the cut plus delta = 2^-20, in units of 2^e.
     if n >= 3:  # otherwise every triple is trivial
-        e = int(np.frexp(np.abs(m).max())[1])
+        e = linalg.exponent(m)
         bound = _pair_bounds(m, e)
         np.fill_diagonal(bound, -np.inf)
         s = np.ldexp(m, -e)

@@ -51,72 +51,43 @@ def _canonicalize_in_place(m: np.ndarray) -> None:
     np.fill_diagonal(m, -m.sum(axis=1))
 
 
-def _eliminate_last(a: np.ndarray) -> None:
-    """Eliminate the last node of the symmetric Laplacian ``a`` in place:
-    afterwards ``a[:-1, :-1]`` is the canonical Kron reduction and the last
-    row and column are stale."""
-    k = a.shape[0] - 1
-    col = a[:k, k]
-    core = a[:k, :k]
-    core -= np.outer(col, col) / a[k, k]
-    _canonicalize_in_place(core)
-
-
-def _eliminate_panel(a: np.ndarray, k: int) -> None:
-    """Eliminate the nodes ``k:`` of the symmetric Laplacian ``a`` in place
-    as one panel: afterwards ``a[:k, :k]`` is the canonical Kron reduction
-    and the rest of ``a`` is stale.
-
-    The pivot block ``a[k:, k:]`` is positive definite for any valid
-    connected Laplacian, so it is factored as L L^T and the update is the
-    exactly symmetric X^T X with X = L^{-1} a[k:, :k]; a factorization
-    failure signals inconsistent input rather than a tolerance issue.
-    """
-    try:
-        ell = np.linalg.cholesky(a[k:, k:])
-    except np.linalg.LinAlgError as exc:
-        raise GraphSimplexError(
-            "eliminated block is not positive definite; input is not a "
-            "valid connected Laplacian"
-        ) from exc
-    x = linalg.lower_solve(ell, a[k:, :k])
-    core = a[:k, :k]
-    core -= x.T @ x
-    _canonicalize_in_place(core)
-
-
-# Nodes per panel of ``_eliminate_in_order``. Eliminating 750 of 1000
-# nodes on one BLAS thread took ~2.5 s one node at a time. With the
-# forward substitution of ``linalg.lower_solve``, ``check_quotient`` on the
-# bench's n = 1000 graphs took 107, 92, 78 and 75 ms at 64, 128, 256 and
-# 512: past 256 the gain is small, and canonicalization runs less often.
-_PANEL = 256
-
-
-def _eliminate_in_order(q: LaplacianMatrix, w_idx: list[int],
+def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
                         order: Sequence[int]) -> np.ndarray:
-    """Eliminate the nodes of ``order``, first to last, in panels of
-    ``_PANEL`` consecutive nodes (the last panel may be shorter), in one
-    buffer holding W and then ``order`` reversed, so that each panel drops
-    the trailing nodes of the leading block. Rows of the result follow W.
+    """Q reduced onto ``keep`` by eliminating the nodes of ``order``, first
+    to last; rows of the result follow ``keep``. Eliminating nothing leaves
+    Q's symmetric part, reordered.
 
-    A panel's update is the exact Schur complement of eliminating its
-    nodes one at a time in that order; the buffer is symmetrized once up
-    front, each update keeps it exactly symmetric, and canonicalization
-    runs once per panel.
+    Q's symmetric part is permuted once into ``keep + order``. The
+    eliminated block is positive definite for any valid connected
+    Laplacian, so one Cholesky factorization L L^T, whose pivots follow
+    ``order``, eliminates it; the update is the exactly symmetric X^T X
+    with X = L^{-1} Q_{order, keep}, and the result is canonicalized once.
+    A factorization failure signals inconsistent input rather than a
+    tolerance issue.
     """
-    perm = w_idx + list(order[::-1])
+    perm = keep + list(order)
     buf = q.symmetric[np.ix_(perm, perm)]
-    for k in range(len(perm), len(w_idx), -_PANEL):
-        _eliminate_panel(buf[:k, :k], max(k - _PANEL, len(w_idx)))
-    return buf[:len(w_idx), :len(w_idx)]
+    k = len(keep)
+    core = buf[:k, :k]
+    if k < len(perm):
+        try:
+            ell = np.linalg.cholesky(buf[k:, k:])
+        except np.linalg.LinAlgError as exc:
+            raise GraphSimplexError(
+                "eliminated block is not positive definite; input is not a "
+                "valid connected Laplacian"
+            ) from exc
+        x = linalg.lower_solve(ell, buf[k:, :k])
+        core -= x.T @ x
+        _canonicalize_in_place(core)
+    return core
 
 
 def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
     """Q/V^c = Q_VV - Q_VVc (Q_VcVc)^{-1} Q_VcV, rows/columns ordered as in
-    ``keep``. Keeping every node returns Q unchanged; otherwise the whole
-    complement is eliminated as one panel (``_eliminate_panel``), which
-    raises GraphSimplexError when Q_VcVc is not positive definite.
+    ``keep``, by one factorization of the complement
+    (``_eliminate_in_order``), which raises GraphSimplexError when Q_VcVc
+    is not positive definite.
 
     Q keeps its most recent reduction, so asking again for the same
     ``keep``, in the same order, returns that reduction without factoring
@@ -127,28 +98,22 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix
     if q._reduction is not None and q._reduction[0] == key:
         return q._reduction[1]
     kept = set(idx)
-    elim = [i for i in range(q.n) if i not in kept]
-    if not elim:
-        reduced = LaplacianMatrix(np.asarray(q.matrix)[np.ix_(idx, idx)])
-    else:
-        perm = idx + elim
-        buf = q.symmetric[np.ix_(perm, perm)]
-        _eliminate_panel(buf, len(idx))
-        reduced = LaplacianMatrix(buf[:len(idx), :len(idx)])
+    complement = [i for i in range(q.n) if i not in kept]
+    reduced = LaplacianMatrix(_eliminate_in_order(q, idx, complement))
     q._reduction = (key, reduced)
     return reduced
 
 
 def kron_reduce_single(q: LaplacianMatrix, node: int) -> LaplacianMatrix:
     """Eliminate one node: Q/{v}^c = Q' + diag(q_v) - q_v q_v^T / d_v,
-    where q_v holds the link weights into the node and d_v its degree."""
+    where q_v holds the link weights into the node and d_v its degree;
+    bitwise ``schur_complement`` onto the other nodes, without replacing
+    the reduction Q keeps."""
     if q.n < 3:
         raise TooSmallError("single-node elimination needs n >= 3")
     node, = linalg.check_subset([node], q.n)
-    perm = [i for i in range(q.n) if i != node] + [node]
-    buf = q.symmetric[np.ix_(perm, perm)]
-    _eliminate_last(buf)
-    return LaplacianMatrix(buf[:-1, :-1])
+    others = [i for i in range(q.n) if i != node]
+    return LaplacianMatrix(_eliminate_in_order(q, others, [node]))
 
 
 def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
@@ -179,11 +144,9 @@ def check_quotient(q: LaplacianMatrix, v: Sequence[int], w: Sequence[int],
     equals reducing to V and then to W, and equals eliminating the nodes of
     N \\ W in a random (seeded) order.
 
-    The incremental route permutes Q once into a single n x n buffer and
-    eliminates the seeded order in place, panel by panel
-    (``_eliminate_in_order``): each panel's update is the exact Schur
-    complement of eliminating its nodes one at a time, and the buffer is
-    canonicalized once per panel.
+    The incremental route is one factorization whose pivots follow the
+    seeded order (``_eliminate_in_order``): the exact Schur complement of
+    eliminating those nodes one at a time.
     """
     v_idx = linalg.check_subset(v, q.n)
     w_idx = linalg.check_subset(w, q.n)

@@ -1,10 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from graphsimplex import WeightedGraph, build_laplacian
+from graphsimplex import WeightedGraph, build_laplacian, parse_graph
 
 from oracles import random_graph
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 @pytest.fixture
@@ -52,6 +58,14 @@ def small_corpus():
     """Thirty random connected graphs (n <= 20) shared by property tests."""
     gen = np.random.default_rng(777)
     return [build_laplacian(random_graph(gen, max_n=20)) for _ in range(30)]
+
+
+def sized_graph(seed, index, n):
+    """The benchmark's graph ``index`` of workload seed ``seed`` at size n."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)  # its dataclass looks itself up there
+    return parse_graph(inputs.sized_graph(seed, index, n).text)
 
 
 @st.composite

@@ -147,6 +147,14 @@ class TestSymmetrize:
             with pytest.raises(AsymmetricError):
                 call(m)
 
+    def test_opposite_entries_near_the_float_limit(self):
+        # m - m^T overflows here, and a RuntimeWarning is an error under
+        # the suite's warning filter
+        m = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
+        for call in (linalg.symmetrize, gs.eigh, gs.pinv_kernel_u):
+            with pytest.raises(AsymmetricError):
+                call(m)
+
 
 @pytest.mark.parametrize("call", [gs.eigh, gs.validate_laplacian, gs.check_metric,
                                   gs.pinv_kernel_u, gs.laplacian_pseudoinverse])

@@ -15,7 +15,7 @@ from graphsimplex.errors import (
     RankDeficientError,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, sized_graph
 from oracles import (
     Parallel,
     Resistor,
@@ -214,6 +214,8 @@ class TestCheckMetric:
             gs.check_metric(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(AsymmetricError):
             gs.check_metric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(AsymmetricError):  # and no overflow warning
+            gs.check_metric(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
         with pytest.raises(ValueError):
             gs.check_metric(np.zeros((2, 2)), mode="cubed")
 
@@ -313,6 +315,41 @@ def test_resistance_matches_networkx(small_corpus):
         want = np.array([[ref[a][b] for b in range(q.n)] for a in range(q.n)])
         got = gs.resistance_matrix(q)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def link_products(q):
+    """The links i < j of the Laplacian q and w_ij * omega_ij on each."""
+    omega = gs.resistance_matrix(q)
+    i, j = np.nonzero(np.triu(q.matrix < 0, 1))
+    return list(zip(i.tolist(), j.tolist())), -q.matrix[i, j] * omega[i, j]
+
+
+@pytest.fixture(scope="module")
+def theorem_corpus(small_corpus):
+    return small_corpus + [gs.build_laplacian(sized_graph(7, 0, 200))]
+
+
+def test_foster_theorem(theorem_corpus, rng):
+    # sum over links of w * omega = n - 1, on Q and on its Kron reductions,
+    # which are Laplacians again
+    for q in theorem_corpus:
+        laplacians = [q]
+        if q.n >= 3:
+            keep = rng.choice(q.n, size=q.n // 2 + 1, replace=False).tolist()
+            laplacians += [gs.schur_complement(q, keep),
+                           gs.kron_reduce_single(q, int(rng.integers(q.n)))]
+        for r in laplacians:
+            total = link_products(r)[1].sum()
+            assert abs(total - (r.n - 1)) <= 1e-12 * (r.n - 1)
+
+
+def test_a_link_is_a_bridge_iff_its_product_is_one(theorem_corpus):
+    nx = pytest.importorskip("networkx")
+    for q in theorem_corpus:
+        links, products = link_products(q)
+        bridges = {frozenset(link) for link in nx.bridges(nx.Graph(links))}
+        assert bridges == {frozenset(link) for link, p in zip(links, products)
+                           if p > 1.0 - 1e-9}
 
 
 def assert_matches_full_tensor(d, mode):

@@ -7,10 +7,7 @@ the validation verdicts change. Multiplied by 4^k instead, every
 Laplacian-side answer scales by an exact power of two, bitwise.
 """
 
-import importlib.util
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +15,10 @@ import pytest
 import graphsimplex as gs
 from graphsimplex.errors import NonFiniteEntryError
 
+from conftest import sized_graph
 from oracles import random_graph
 
 SCALES = [-250, -100, -12, -6, 0, 6, 12, 100, 250]
-INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-
-
-def sized_graph(seed, index, n):
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)  # its dataclass looks itself up there
-    return gs.parse_graph(inputs.sized_graph(seed, index, n).text)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +102,7 @@ def answers(g):
         "r": (0, fb.r),
         "radius": (-1, np.array(fb.radius)),
         "schur": (2, gs.schur_complement(q, list(range(0, g.n, 3))).matrix),
+        "kron": (2, gs.kron_reduce_single(q, 0).matrix),
         "cosines": (0, gs.dihedral_angles(q).cosines),
     }, verdicts(gs.validate_laplacian(q))
 

@@ -17,7 +17,6 @@ from graphsimplex.errors import (
 
 from graphsimplex import linalg
 from graphsimplex.schur import (
-    _PANEL,
     _canonicalize,
     _canonicalize_in_place,
     _eliminate_in_order,
@@ -132,8 +131,8 @@ class TestKronReduceSingle:
                 1.0, np.abs(block.matrix).max())
 
     def test_bitwise_equal_to_reference_formula(self, small_corpus):
-        # the dense formula and re-canonicalization that the in-place
-        # elimination replaced
+        # the rank-one formula Q' + diag(q_v) - q_v q_v^T / d_v, then
+        # re-canonicalization; the Cholesky step agrees with it to rounding
         def reference(m, node):
             rest = [i for i in range(len(m)) if i != node]
             qv = -m[rest, node]
@@ -147,12 +146,35 @@ class TestKronReduceSingle:
             np.fill_diagonal(out, -off.sum(axis=1))
             return out
 
+        eps = np.finfo(float).eps
         for q in small_corpus:
             if q.n < 3:
                 continue
             for node in range(q.n):
                 got = gs.kron_reduce_single(q, node).matrix
-                assert np.array_equal(got, reference(q.matrix, node))
+                others = [i for i in range(q.n) if i != node]
+                assert np.array_equal(got, gs.schur_complement(q, others).matrix)
+                ref = reference(q.matrix, node)
+                assert np.abs(got - ref).max() <= 4 * eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("w", ["1e-310", "1e-200", "1e300"])
+    def test_star_becomes_triangle_at_any_scale(self, w):
+        # here q_v q_v^T, formed as written, underflows to zero (1e-200,
+        # 1e-310) or overflows (1e300)
+        q = laplacian(f"h a {w}\nh b {w}\nh c {w}")
+        want = (3.0 * np.eye(3) - np.ones((3, 3))) * (float(w) / 3.0)
+        got = gs.kron_reduce_single(q, 0).matrix
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0, 0], [0, 1, -1], [0, -1, 1]],  # node 0 has degree zero
+        [[-1, 0.5, 0.5], [0.5, 0.5, -1], [0.5, -1, 0.5]],  # a negative pivot
+    ], ids=["zero-degree", "negative-pivot"])
+    def test_not_positive_definite_pivot_rejected(self, matrix):
+        # no valid connected Laplacian has a zero or negative pivot
+        q = gs.LaplacianMatrix(np.array(matrix, float))
+        with pytest.raises(GraphSimplexError, match="not positive definite"):
+            gs.kron_reduce_single(q, 0)
 
     def test_asymmetric_input_gives_symmetric_result(self, rng):
         # from_matrix accepts asymmetry within the validation tolerance; the
@@ -306,9 +328,8 @@ def folded_single_eliminations(q, w, order):
 
 
 class TestPanelElimination:
-    # n - |W| nodes are eliminated: 197, less than one panel; 512, exactly
-    # two panels; and 123, less than half of one
-    @pytest.mark.parametrize("n, k_w", [(200, 3), (2 * _PANEL + 4, 4), (_PANEL // 2, 5)])
+    # n - |W| nodes are eliminated: 197, 512 and 123
+    @pytest.mark.parametrize("n, k_w", [(200, 3), (516, 4), (128, 5)])
     def test_matches_folded_single_eliminations(self, n, k_w):
         rng = np.random.default_rng(n)
         q = gs.build_laplacian(random_graph(rng, n=n))
@@ -324,8 +345,8 @@ class TestPanelElimination:
         assert report.incremental_residual <= 1e-12 * np.abs(expected).max()
 
     def test_ragged_panel_after_full_ones(self):
-        # two full panels, then 37 nodes
-        n = 2 * _PANEL + 40
+        # 549 nodes eliminated
+        n = 552
         rng = np.random.default_rng(n)
         q = gs.build_laplacian(random_graph(rng, n=n))
         w = sorted(rng.choice(n, size=3, replace=False).tolist())
@@ -335,7 +356,7 @@ class TestPanelElimination:
         assert np.abs(incremental - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_not_positive_definite_pivot_rejected(self):
-        # the isolated node c makes the eliminated panel singular
+        # the isolated node c makes the eliminated block singular
         q = gs.LaplacianMatrix(np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], float))
         with pytest.raises(GraphSimplexError, match="not positive definite"):
             _eliminate_in_order(q, [0, 1], [2])
@@ -397,7 +418,8 @@ class TestKeptReduction:
         assert gs.schur_complement(q, v) is reduced
         gs.check_quotient(q, v, w)
         # V's 20 eliminated nodes, then check_quotient's one-shot reduction
-        # onto W, its second stage from V, and its seeded order in one panel
+        # onto W, its second stage from V, and its seeded order in one
+        # factorization
         assert cholesky_calls == [(20, 20), (35, 35), (15, 15), (35, 35)]
 
     def test_another_order_misses(self, graph, cholesky_calls):
