@@ -169,12 +169,14 @@ class LaplacianMatrix:
     order. One ``eigh`` of the symmetric part, exactly scaled,
     serves validation, the spectrum and every answer read off it.
 
-    Constructed unvalidated by trusted code paths (``build_laplacian``,
-    Schur reductions); use ``from_matrix`` to validate arbitrary input.
+    Constructed from any non-empty square array of finite entries
+    (``linalg.as_square_array``), unvalidated, by trusted code paths
+    (``build_laplacian``, Schur reductions); use ``from_matrix`` to
+    validate arbitrary input.
     """
 
     def __init__(self, matrix: np.ndarray):
-        m = np.array(matrix, dtype=float)
+        m = np.array(linalg.as_square_array(matrix))
         m.setflags(write=False)
         self.matrix = m
         self.n = m.shape[0]
@@ -183,11 +185,10 @@ class LaplacianMatrix:
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerances = DEFAULT) -> "LaplacianMatrix":
-        report = validate_laplacian(matrix, tol)
+        q = cls(matrix)
+        report = validate_laplacian(q, tol)
         if not report.passed:
             raise NotALaplacianError(report)
-        q = cls(linalg.as_square_array(matrix))
-        q._reports[tol] = report
         return q
 
     @cached_property
@@ -213,7 +214,7 @@ class LaplacianMatrix:
         """e = ``linalg.exponent(matrix)`` and the read-only ``linalg.eigh`` of
         2^-e ``symmetric``, whose entries lie in (-1, 1), so that none of
         its eigenvalues overflows; without the resolvability rule."""
-        e = linalg.exponent(linalg.as_square_array(self.matrix))
+        e = linalg.exponent(self.matrix)
         dec = linalg.eigh(np.ldexp(self.symmetric, -e))
         dec.eigenvalues.setflags(write=False)
         dec.eigenvectors.setflags(write=False)
@@ -287,23 +288,21 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
     """Check the structural properties (i)-(iv) and the spectral ones
     (i)s-(iii)s of the Laplacian characterization, plus their consistency.
 
-    A ``LaplacianMatrix`` is checked once per ``Tolerances``: later calls
-    return the report it keeps. Its spectral checks read the eigenvalues of
-    the one scaled ``eigh`` its spectrum comes from; anything else takes
-    one ``eigvalsh``.
+    A plain array is wrapped in a ``LaplacianMatrix`` first. That object is
+    checked once per ``Tolerances``: later calls return the report it
+    keeps. The spectral checks read the eigenvalues of the one scaled
+    ``eigh`` its spectrum comes from.
     """
     if not isinstance(a, LaplacianMatrix):
-        return _check_properties(a, tol)
+        a = LaplacianMatrix(a)
     report = a._reports.get(tol)
     if report is None:
-        report = a._reports[tol] = _check_properties(a.matrix, tol, a)
+        report = a._reports[tol] = _check_properties(a, tol)
     return report
 
 
-def _check_properties(a, tol: Tolerances,
-                      q: LaplacianMatrix | None = None) -> ValidationReport:
-    m = linalg.as_square_array(a)
-    n = m.shape[0]
+def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
+    m, n = q.matrix, q.n
     scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
     atol = tol.validation * scale
     checks: dict[str, PropertyCheck] = {}
@@ -311,7 +310,7 @@ def _check_properties(a, tol: Tolerances,
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
     # in the input's units. q's scaled eigh is of the same 2^-e m.
-    e = linalg.exponent(m)
+    e, dec = q._scaled
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
 
@@ -346,7 +345,7 @@ def _check_properties(a, tol: Tolerances,
     )
 
     sym = linalg.symmetric_part(scaled)
-    vals = np.linalg.eigvalsh(sym) if q is None else q._scaled[1].eigenvalues
+    vals = dec.eigenvalues
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = DEFAULT.zero_eigenvalue * mu_max
     min_val = float(vals.min())
@@ -393,7 +392,7 @@ def laplacian_pseudoinverse(q) -> np.ndarray:
     """The read-only ``LaplacianMatrix.pinv`` of ``q``, or of a
     ``LaplacianMatrix`` around an array ``q``."""
     if not isinstance(q, LaplacianMatrix):
-        q = LaplacianMatrix(linalg.as_square_array(q))
+        q = LaplacianMatrix(q)
     return q.pinv
 
 
@@ -403,13 +402,11 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
     Node labels are "0".."n-1"; entries within the sign dead-band are
     treated as absent links.
     """
-    # a plain array is validated as one (one eigvalsh), not through the
-    # full eigh a LaplacianMatrix would take
+    if not isinstance(a, LaplacianMatrix):
+        a = LaplacianMatrix(a)
     report = validate_laplacian(a, tol)
     if not report.passed:
         raise NotALaplacianError(report)
-    if not isinstance(a, LaplacianMatrix):
-        a = LaplacianMatrix(linalg.as_square_array(a))
     n = a.n
     atol = report.tol_scale
     # x < -atol is -x > atol exactly; nonzero lists the links row-major

@@ -96,10 +96,14 @@ def check_subset(v: Sequence[int], n: int) -> list[int]:
 
 def squared_distances(gram: np.ndarray) -> np.ndarray:
     """Squared distances g_ii + g_jj - 2 g_ij between the points whose Gram
-    matrix is ``gram``, with an exactly zero diagonal."""
+    matrix is ``gram``, with an exactly zero diagonal; NonFiniteEntryError
+    where one overflows, as the resistances of links near 1e-308 do."""
     d = np.diag(gram)
-    out = d[:, None] + d[None, :] - 2.0 * gram
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = d[:, None] + d[None, :] - 2.0 * gram
     np.fill_diagonal(out, 0.0)
+    if not np.isfinite(out).all():
+        raise NonFiniteEntryError("a squared distance overflows the float range")
     return out
 
 
@@ -165,9 +169,6 @@ class EigenDecomposition:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def eigh(a) -> EigenDecomposition:
     """Full symmetric eigendecomposition, eigenvalues descending.
@@ -197,17 +198,16 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
-def laplacian_spectrum(m) -> EigenDecomposition:
-    """``eigh`` of a symmetric Laplacian, or ``m`` itself when it is such an
-    ``EigenDecomposition`` already, held to one resolvability rule: its
-    smallest nonzero eigenvalue must exceed n eps mu_max, the rounding level
-    of one double-precision eigendecomposition, or its inverse is noise.
+def laplacian_spectrum(dec: EigenDecomposition) -> EigenDecomposition:
+    """``dec``, the eigendecomposition of a symmetric Laplacian, held to one
+    resolvability rule: its smallest nonzero eigenvalue must exceed
+    n eps mu_max, the rounding level of one double-precision
+    eigendecomposition, or its inverse is noise.
 
     The rule is a product, so a spectrum whose bound underflows (weights
     near 1e-310) passes. Raises RankDeficientError otherwise, as for
     weights spanning ~19 decades or more.
     """
-    dec = m if isinstance(m, EigenDecomposition) else eigh(m)
     mu = dec.eigenvalues  # descending, the zero last
     level = mu.size * np.finfo(float).eps * mu[0]
     if mu.size > 1 and not mu[-2] > level:

@@ -38,10 +38,7 @@ def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
     i, j = linalg.as_index(i), linalg.as_index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"indices ({i}, {j}) out of range for n={n}")
-    if i == j:
-        return 0.0
-    p = q.pinv
-    return float(p[i, i] + p[j, j] - 2.0 * p[i, j])
+    return float(linalg.squared_distances(q.pinv[np.ix_((i, j), (i, j))])[0, 1])
 
 
 def resistance_matrix(q: LaplacianMatrix) -> np.ndarray:

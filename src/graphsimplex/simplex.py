@@ -48,10 +48,8 @@ class SimplexEmbedding:
         """NonFiniteEntryError when a distance overflows, as the vertices of
         a graph with weights near 1e-320 can."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d = linalg.squared_distances(self.vertices.T @ self.vertices)
-        if not np.isfinite(d).all():
-            raise NonFiniteEntryError("a squared distance overflows the float range")
-        return d
+            gram = self.vertices.T @ self.vertices
+        return linalg.squared_distances(gram)
 
 
 @dataclass(frozen=True)

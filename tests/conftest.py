@@ -41,8 +41,8 @@ def eigh_calls(monkeypatch):
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    """The shapes of the matrices passed to np.linalg.eigvalsh, the
-    eigenvalue solver behind validate_laplacian, during the test."""
+    """The shapes of the matrices passed to np.linalg.eigvalsh during the
+    test; validation reads the one eigh, so the library calls none."""
     return record_shapes(monkeypatch, "eigvalsh")
 
 

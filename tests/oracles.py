@@ -2,13 +2,15 @@
 
 These deliberately avoid the code paths under test: spanning trees are
 counted by exhaustive enumeration, determinants by cofactor expansion,
-and effective resistances of series-parallel networks by the textbook
-series/parallel reduction rules.
+effective resistances of series-parallel networks by the textbook
+series/parallel reduction rules, and exact resistances and tree counts of
+any graph by Gauss-Jordan elimination in rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -55,6 +57,49 @@ def determinant_cofactor(m: np.ndarray) -> float:
         minor = np.delete(rest, j, axis=1)
         total += (-1.0) ** j * m[0, j] * determinant_cofactor(minor)
     return total
+
+
+# --- exact resistances and tree count in rational arithmetic ---
+
+def exact_grounded_inverse(g: WeightedGraph) -> tuple[list[list[Fraction]], Fraction]:
+    """(X, tau): X the inverse of g's Laplacian grounded at its last node
+    (that node's row and column removed), and tau its determinant, the
+    spanning tree count by the matrix-tree theorem. Gauss-Jordan
+    elimination over Fractions, into which every float weight converts
+    exactly; the grounded Laplacian of a connected graph is positive
+    definite, so no pivot is zero and none needs a row swap."""
+    k = g.n - 1
+    a = [[Fraction(0)] * k + [Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+    for (i, j), w in zip(g.links, g.weights):
+        w = Fraction(w)
+        for r, c in ((i, j), (j, i)):
+            if r < k:
+                a[r][r] += w
+                if c < k:
+                    a[r][c] -= w
+    tau = Fraction(1)
+    for p in range(k):
+        pivot = a[p][p]
+        tau *= pivot
+        row = a[p] = [x / pivot for x in a[p]]
+        for r in range(k):
+            f = a[r][p]
+            if r != p and f:
+                a[r] = [x - f * y for x, y in zip(a[r], row)]
+    return [row[k:] for row in a], tau
+
+
+def exact_resistances(g: WeightedGraph) -> tuple[list[list[Fraction]], Fraction]:
+    """(Omega, tau) exactly: omega_ij = x_ii + x_jj - 2 x_ij with X from
+    ``exact_grounded_inverse`` and x = 0 in the ground's row and column."""
+    x, tau = exact_grounded_inverse(g)
+    k = g.n - 1
+
+    def at(i, j):
+        return x[i][j] if i < k and j < k else Fraction(0)
+
+    return [[at(i, i) + at(j, j) - 2 * at(i, j) for j in range(g.n)]
+            for i in range(g.n)], tau
 
 
 # --- series-parallel circuits ---

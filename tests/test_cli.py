@@ -591,6 +591,17 @@ class TestRangeErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 1e-320\n"))
         assert_one_error_line(*run(capsys, ["volume", "-"]))
 
+    @pytest.mark.parametrize("command", ["resistance", "verify-identity"])
+    def test_resistance_overflow(self, capsys, monkeypatch, command):
+        # Q^dagger is finite, omega(a, c) = 2e308 is not; before: an inf with
+        # a RuntimeWarning, and a false identity failure on nan residuals
+        monkeypatch.setattr("sys.stdin", io.StringIO("a b 1e-308\nb c 1e-308\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, "-"])
+        assert_one_error_line(code, out, err)
+        assert "squared distance" in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["spanning-trees", "embed", "volume"])
     def test_eigenvalue_overflow(self, capsys, monkeypatch, command):
@@ -701,7 +712,8 @@ def cycle(w):
 SWEEP_INPUTS = {"cycle 1e-250": (cycle("1e-250"), {0}), "cycle 1": (cycle("1"), {0}),
                 "cycle 1e250": (cycle("1e250"), {0}),
                 "path 8e307": ("a b 8e307\nb c 8e307\n", {0, 2}),
-                "cycle 1e-310": (cycle("1e-310"), {0, 2})}
+                "cycle 1e-310": (cycle("1e-310"), {0, 2}),
+                "path 1e-308": ("a b 1e-308\nb c 1e-308\n", {0, 2})}
 SWEEP_COMMANDS = ["laplacian", "pinv", "resistance", "embed", "angles", "reduce --keep a,c",
                   "metric-check", "metric-check --sqrt", "blocks"]
 

@@ -11,6 +11,7 @@ from graphsimplex.errors import (
     AsymmetricError,
     DegenerateDistanceMatrixError,
     IndexOutOfRangeError,
+    NonFiniteEntryError,
     NonZeroDiagonalError,
     RankDeficientError,
 )
@@ -103,6 +104,21 @@ class TestResistanceMatrix:
                 for j in range(q.n):
                     pair = gs.effective_resistance(q, i, j)
                     assert abs(omega[i, j] - pair) <= 1e-10 * max(1.0, pair)
+
+    def test_resistance_beyond_the_float_range(self):
+        # Q^dagger is finite (|entries| <= 5.6e307), omega(a, c) = 2e308 is
+        # not; every answer that reads it raises, and none warns
+        q = laplacian("a b 1e-308\nb c 1e-308\n")
+        answers = [lambda: gs.effective_resistance(q, 0, 2),
+                   lambda: gs.resistance_matrix(q),
+                   lambda: gs.verify_fiedler_identity(q),
+                   lambda: gs.check_resistance_preservation(q, [0, 2])]
+        for answer in answers:
+            with pytest.raises(NonFiniteEntryError,
+                               match="^a squared distance overflows the float range$"):
+                answer()
+        assert gs.effective_resistance(q, 0, 1) == pytest.approx(1e308, rel=1e-12)
+        assert gs.effective_resistance(q, 2, 2) == 0.0
 
 
 class TestFiedlerBlocks:
