@@ -3,8 +3,9 @@
 
 Every connected weighted graph maps to a hyperacute Simplex, so no obtuse
 angles should ever appear; this script tallies how often right angles occur
-(exactly when the pseudoinverse entry vanishes, e.g. across cut vertices)
-and prints the distribution of the sharpest cosine seen per graph.
+(exactly where two nodes share no link: the simplex's pseudoinverse Gram is
+the Laplacian itself, so its entry there is zero) and prints the
+distribution of the sharpest cosine seen per graph.
 
 Usage:
     python3 scripts/angle_census.py [--graphs N] [--max-nodes N] [--seed S]

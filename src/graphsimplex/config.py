@@ -23,7 +23,7 @@ class Tolerances:
     residual: ClassVar[float] = 1e-8
     # absolute slack for triangle-inequality checks, relative to max entry
     metric_slack: ClassVar[float] = 1e-12
-    # rounding clamp applied when re-canonicalizing Schur complements
+    # schur_via_pinv zeroes positive links <= this times the largest diagonal
     clamp: ClassVar[float] = 1e-12
 
 

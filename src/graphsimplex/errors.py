@@ -68,7 +68,9 @@ class NoConvergenceError(GraphSimplexError):
 
 
 class RankDeficientError(GraphSimplexError):
-    """More than one zero eigenvalue where exactly one was expected."""
+    """Not exactly one zero eigenvalue where one was expected: several, none
+    ("found 0"), a numerically zero matrix, or a smallest nonzero Laplacian
+    eigenvalue at the rounding level (``linalg.laplacian_spectrum``)."""
 
 
 # --- index subsets ---

@@ -165,21 +165,21 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def eigh(a) -> EigenDecomposition:
     """Full symmetric eigendecomposition, eigenvalues descending.
 
-    For Laplacians this puts the zero eigenvalue last.
+    For Laplacians this puts the zero eigenvalue last. LAPACK decomposes
+    2^-e A (``exponent``), so A times 4^k gives the same eigenvectors, bitwise.
     """
     m = symmetrize(a)
+    e = exponent(m)
     try:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(np.ldexp(m, -e) if e else m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(vals, e)
     if not np.isfinite(vals).all():
         raise NonFiniteEntryError("an eigenvalue overflows the float range")
     return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())

@@ -28,27 +28,21 @@ from .simplex import face_gram, gram_pair_from_laplacian
 
 
 def _canonicalize(raw: np.ndarray) -> np.ndarray:
-    """Restore exact Laplacian structure after rounding: symmetrize, clamp
-    tiny positive off-diagonals to zero, and rebuild the diagonal from the
-    off-diagonal row sums."""
+    """Symmetrize the pseudoinverse route's raw reduction, zero the tiny
+    positive links its rounding leaves (at most ``DEFAULT.clamp`` times the
+    largest diagonal entry) and rebuild the diagonal."""
     m = linalg.symmetric_part(raw)
+    scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
+    m[(m > 0) & (m <= DEFAULT.clamp * scale)] = 0.0  # the diagonal is rebuilt
     _canonicalize_in_place(m)
     return m
 
 
 def _canonicalize_in_place(m: np.ndarray) -> None:
-    """The clamp and diagonal rebuild of ``_canonicalize``, done in place
-    on a symmetric matrix or a view into one."""
-    if m.shape[0] == 1:  # no links; the row-sum rebuild would write -0.0
-        m[0, 0] = 0.0
-        return
-    scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
+    """Rebuild the diagonal of a symmetric matrix, or a view into one, from
+    its off-diagonal row sums, as +0.0 for a lone node (0.0 - 0.0)."""
     np.fill_diagonal(m, 0.0)
-    # Off-diagonals of a Laplacian are <= 0, so one max() pass usually
-    # rules out any clamp without building the masks.
-    if m.max() > 0:
-        m[(m > 0) & (m <= DEFAULT.clamp * scale)] = 0.0
-    np.fill_diagonal(m, -m.sum(axis=1))
+    np.fill_diagonal(m, 0.0 - m.sum(axis=1))
 
 
 def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
@@ -60,10 +54,11 @@ def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
     Q's symmetric part is permuted once into ``keep + order``. The
     eliminated block is positive definite for any valid connected
     Laplacian, so one Cholesky factorization L L^T, whose pivots follow
-    ``order``, eliminates it; the update is the exactly symmetric X^T X
-    with X = L^{-1} Q_{order, keep}, and the result is canonicalized once.
-    A factorization failure signals inconsistent input rather than a
-    tolerance issue.
+    ``order``, eliminates it; X^T X with X = L^{-1} Q_{order, keep} is
+    subtracted, exactly symmetric, and the diagonal rebuilt. L's
+    off-diagonals and X are <= 0 (unless a leaf LU of ``linalg.lower_solve``
+    swaps rows), so no link turns positive and nothing needs a clamp. A
+    factorization failure signals inconsistent input, not a tolerance issue.
     """
     perm = keep + list(order)
     buf = q.symmetric[np.ix_(perm, perm)]

@@ -40,10 +40,6 @@ class SimplexEmbedding:
 
     vertices: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.vertices.shape[1]
-
     def squared_distances(self) -> np.ndarray:
         """NonFiniteEntryError when a distance overflows, as the vertices of
         a graph with weights near 1e-320 can."""
@@ -305,8 +301,8 @@ def cayley_menger_volume(d) -> float:
         vol^2 = (-1)^n det [[0, u^T], [u, D]] / ( ((n-1)!)^2 2^(n-1) ).
 
     The determinant and the normalisation are taken in logs, so neither
-    overflows for large n; a squared volume at or below
-    1e-12 max(D)^(n-1) counts as degenerate.
+    overflows for large n. A squared volume <= 1e-12 max(D)^(n-1) counts as
+    degenerate; NonFiniteEntryError where the volume leaves the float range.
     """
     m = linalg.as_square_array(d)
     n = m.shape[0]
@@ -323,4 +319,10 @@ def cayley_menger_volume(d) -> float:
             f"squared volume {sign:+.0f} * exp({log_vol2:.6g}) is not above "
             "1e-12 max(D)^(n-1); input is degenerate or not realizable"
         )
-    return math.exp(0.5 * log_vol2)
+    try:  # math.exp: np.exp's vector loops may round the last bit otherwise
+        vol = math.exp(0.5 * log_vol2)  # an underflow returns 0.0
+    except OverflowError:
+        vol = math.inf
+    if not 0.0 < vol < math.inf:
+        raise NonFiniteEntryError("the volume leaves the float range")
+    return vol

@@ -102,6 +102,20 @@ def exact_resistances(g: WeightedGraph) -> tuple[list[list[Fraction]], Fraction]
             for i in range(g.n)], tau
 
 
+def exact_pinv(g: WeightedGraph) -> list[list[Fraction]]:
+    """Q^dagger exactly: J X J with J = I - uu^T/n and X the grounded
+    inverse of ``exact_grounded_inverse`` padded with a zero row and column
+    for the ground, a generalized inverse of Q, so J X J = Q^dagger Q X Q
+    Q^dagger = Q^dagger."""
+    x, _ = exact_grounded_inverse(g)
+    n = g.n
+    padded = [row + [Fraction(0)] for row in x] + [[Fraction(0)] * n]
+    means = [sum(row, Fraction(0)) / n for row in padded]  # X is symmetric
+    grand = sum(means, Fraction(0)) / n
+    return [[padded[i][j] - means[i] - means[j] + grand for j in range(n)]
+            for i in range(n)]
+
+
 # --- series-parallel circuits ---
 
 @dataclass(frozen=True)

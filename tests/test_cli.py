@@ -586,6 +586,15 @@ class TestRangeErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         assert_one_error_line(*run(capsys, ["volume", "-"]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_volume_underflow(self, capsys, monkeypatch):
+        # the volume, about 8e-377, underflows to 0.0: a refusal, not "0"
+        doc = "a b 1e250\nb c 1e250\nc d 1e250\na d 1e250\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, ["volume", "-"])
+        assert_one_error_line(code, out, err)
+        assert "volume leaves the float range" in err
+
     def test_squared_distance_overflow(self, capsys, monkeypatch):
         # the vertices (+-5e159) are finite, the squared edge length is not
         monkeypatch.setattr("sys.stdin", io.StringIO("a b 1e-320\n"))

@@ -1,21 +1,27 @@
 """Answers against exact rational references, and metamorphic relations.
 
 ``oracles.exact_resistances`` solves the grounded Laplacian over Fractions,
-so Omega and the spanning tree count are exact for the float weights given.
+so Omega and the spanning tree count are exact for the float weights given;
+``oracles.exact_pinv`` centers the same solve into Q^dagger.
 The bounds below are relative to max Omega (max|Q| for a Laplacian). Each
 test states the largest error measured on ``EXACT_CORPUS``; its bound is at
 least four times that.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import graphsimplex as gs
+from graphsimplex.errors import DegenerateDistanceMatrixError
 
 from conftest import UNRESOLVED_TREE
 from oracles import (
     complete_graph,
     count_spanning_trees_brute,
+    exact_pinv,
     exact_resistances,
     path_graph,
     random_graph,
@@ -29,6 +35,12 @@ EXACT_CORPUS = [random_graph(_GEN, max_n=12) for _ in range(40)]
 def exact_omega(g):
     """The exact Omega of g, each entry correctly rounded to a float."""
     return np.array([[float(x) for x in row] for row in exact_resistances(g)[0]])
+
+
+def squared_volume(g, tau):
+    """V^2 = 1/(((n-1)!)^2 tau), the graph simplex's squared volume, from
+    the exact tree count, correctly rounded."""
+    return float(1 / (Fraction(math.factorial(g.n - 1)) ** 2 * tau))
 
 
 def edge_document(g):
@@ -55,6 +67,13 @@ class TestOracle:
             omega, tau = exact_resistances(complete_graph(n))
             assert omega[0][1] * n == 2 and tau == n ** (n - 2)
 
+    def test_pinv_of_complete_graphs(self):
+        # K_n's Laplacian is nJ, so its pseudoinverse is J/n
+        for n in range(2, 7):
+            p = exact_pinv(complete_graph(n))
+            assert all(p[i][j] == (int(i == j) - Fraction(1, n)) / n
+                       for i in range(n) for j in range(n))
+
     def test_tree_count_matches_enumeration(self, rng):
         for _ in range(10):
             g = random_graph(rng, max_n=7)
@@ -72,6 +91,27 @@ class TestForwardError:
         # measured worst 8.9e-15 relative
         for _, q, _, tau in exact_answers:
             assert abs(gs.spanning_tree_count(q) - float(tau)) <= 1e-13 * float(tau)
+
+
+    def test_pseudoinverse(self, exact_answers):
+        # measured worst 1.0e-14
+        for g, q, _, _ in exact_answers:
+            p = np.array([[float(x) for x in row] for row in exact_pinv(g)])
+            assert relative_error(q.pinv, p) <= 1e-13
+
+    def test_squared_volume(self, exact_answers):
+        # measured worst 4.9e-15 relative, on the 23 graphs where the
+        # volume answers (the others: ROADMAP item 2, below)
+        answered = 0
+        for g, q, _, tau in exact_answers:
+            try:
+                volume = gs.cayley_menger_volume(gs.resistance_matrix(q))
+            except DegenerateDistanceMatrixError:
+                continue
+            want = squared_volume(g, tau)
+            assert abs(volume**2 - want) <= 2e-14 * want
+            answered += 1
+        assert answered == 23
 
 
 class TestMetamorphic:
@@ -112,6 +152,19 @@ class TestMetamorphic:
                 assert relative_error(gs.schur_complement(q2, old).matrix, q.matrix) <= 1e-14
 
 
+    def test_rayleigh_monotonicity(self, exact_answers):
+        # doubling one link's weight raises no resistance; measured worst
+        # rise 8.3e-15 of max Omega, all rounding
+        for g, q, _, _ in exact_answers:
+            omega = gs.resistance_matrix(q)
+            for t in range(len(g.links)):
+                weights = list(g.weights)
+                weights[t] *= 2
+                stiffer = gs.build_laplacian(gs.WeightedGraph(g.labels, g.links, tuple(weights)))
+                rise = gs.resistance_matrix(stiffer) - omega
+                assert rise.max() <= 4e-14 * omega.max()
+
+
 class TestKnownDefects:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a Cholesky pivot absorbs the "
                                            "1.6e-9 link into a 5.2e9 degree")
@@ -131,3 +184,11 @@ class TestKnownDefects:
         g = gs.parse_graph("a b 1\nb c 1e-14\n")
         omega = exact_omega(g)
         assert relative_error(gs.resistance_matrix(gs.build_laplacian(g)), omega) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a size threshold, not a rank "
+                                           "rule, calls 17 of these simplices degenerate")
+    def test_volume_of_every_corpus_graph(self, exact_answers):
+        # V^2 is positive on all 40; n = 8-12 graphs are refused today
+        for g, q, _, tau in exact_answers:
+            volume = gs.cayley_menger_volume(gs.resistance_matrix(q))
+            assert abs(volume**2 - squared_volume(g, tau)) <= 2e-14 * squared_volume(g, tau)

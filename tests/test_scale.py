@@ -4,7 +4,8 @@ Every weight is multiplied by 10^k, k from -250 to 250, on small connected
 graphs and on the n = 200 benchmark fixture: Q^dagger stays a
 pseudoinverse, resistances scale as 1/s, and neither the angle codes nor
 the validation verdicts change. Multiplied by 4^k instead, every
-Laplacian-side answer scales by an exact power of two, bitwise.
+Laplacian-side answer scales by an exact power of two, bitwise, and so does
+every Gram-side answer when a kernel-u matrix is multiplied by 4^k.
 """
 
 import warnings
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import graphsimplex as gs
+from graphsimplex import linalg
+from graphsimplex.config import DEFAULT
 from graphsimplex.errors import NonFiniteEntryError
 
 from conftest import sized_graph
@@ -116,5 +119,44 @@ def test_laplacian_answers_scale_bitwise_by_powers_of_4(k):
     got, got_verdicts = answers(
         gs.WeightedGraph(g.labels, g.links, tuple(w * 4.0**k for w in g.weights)))
     assert got_verdicts == want_verdicts
+    for name, (power, value) in want.items():
+        assert np.array_equal(got[name][1], np.ldexp(value, power * k)), name
+
+
+def kernel_u_pair(condition):
+    """Vertices V (5 x 6) and the double-centered A = J V^T V J, which has
+    kernel u and eigenvalues from 1 down to 1/condition."""
+    rng = np.random.default_rng(6)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(6), rng.standard_normal((6, 5))]))
+    v = (basis[:, 1:] * np.sqrt(np.geomspace(1.0, 1.0 / condition, 5))).T
+    return v, linalg.double_center(v.T @ v)
+
+
+def gram_answers(v, a):
+    """The Gram-side answers of V and A, each with the power of two by which
+    it scales when V is multiplied by 2^k and A by 4^k."""
+    canonical = gs.canonical_gram(v)
+    face = gs.face_gram(canonical, [0, 2, 3, 5])
+    return {
+        "pinv_kernel_u": (-2, gs.pinv_kernel_u(a)),
+        "gram_pair_from_pinv": (-2, gs.gram_pair_from_pinv(a).gram),
+        "canonical_gram": (2, canonical.gram),
+        "canonical_pinv_gram": (-2, canonical.pinv_gram),
+        "face_gram": (2, face.gram),
+        "face_pinv_gram": (-2, face.pinv_gram),
+    }
+
+
+# condition 5e9 fails the Cholesky screen's bound N |X|_inf <= 1/(4t), so
+# pinv_kernel_u deflates its eigendecomposition; condition 10 passes it
+@pytest.mark.parametrize("condition", [10.0, 5e9], ids=["cholesky", "eigh"])
+@pytest.mark.parametrize("k", POWERS_OF_4)
+def test_gram_answers_scale_bitwise_by_powers_of_4(condition, k):
+    # the eigh route decomposes A scaled by an exact power of two
+    v, a = kernel_u_pair(condition)
+    screened = linalg._shifted_cholesky_pinv(a, DEFAULT.zero_eigenvalue) is not None
+    assert screened == (condition < 1e9)
+    want = gram_answers(v, a)
+    got = gram_answers(np.ldexp(v, k), np.ldexp(a, 2 * k))
     for name, (power, value) in want.items():
         assert np.array_equal(got[name][1], np.ldexp(value, power * k)), name

@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from graphsimplex.schur import (
     _eliminate_in_order,
 )
 
-from conftest import connected_graphs, record_shapes
+from conftest import UNRESOLVED_TREE, connected_graphs, record_shapes, sized_graph
 from oracles import complete_graph, path_graph, random_graph, unit_graph
 
 
@@ -432,6 +434,43 @@ class TestKeptReduction:
         again = gs.schur_complement(q, v)
         assert len(cholesky_calls) == 3
         assert again is not first and np.array_equal(again.matrix, first.matrix)
+
+
+class TestNoLinkTurnsPositive:
+    # elimination subtracts X^T X >= 0 from links <= 0, so the kernel needs
+    # no clamp; only schur_via_pinv's rounding leaves positive links
+    @staticmethod
+    def assert_no_positive_link(reduced):
+        off = reduced - np.diag(np.diag(reduced))
+        assert not (off > 0).any()
+
+    def test_small_corpus(self, small_corpus, rng):
+        for q in small_corpus:
+            for node in range(q.n):
+                others = [i for i in range(q.n) if i != node]
+                self.assert_no_positive_link(_eliminate_in_order(q, others, [node]))
+            keep = rng.permutation(q.n)[: max(1, q.n // 3)].tolist()
+            order = rng.permutation([i for i in range(q.n) if i not in keep]).tolist()
+            self.assert_no_positive_link(_eliminate_in_order(q, keep, order))
+
+    def test_benchmark_fixture(self):
+        q = gs.build_laplacian(sized_graph(7, 0, 200))
+        rng = np.random.default_rng(200)
+        for _ in range(3):
+            perm = rng.permutation(200).tolist()
+            self.assert_no_positive_link(_eliminate_in_order(q, perm[:100], perm[100:]))
+
+    def test_pairs_of_a_19_decade_tree(self):
+        q = gs.build_laplacian(gs.parse_graph(UNRESOLVED_TREE))
+        reduced = 0
+        for pair in itertools.combinations(range(q.n), 2):
+            try:
+                reduction = gs.schur_complement(q, list(pair)).matrix
+            except GraphSimplexError:  # {2, 5}: a pivot cancels (ROADMAP item 1)
+                continue
+            self.assert_no_positive_link(reduction)
+            reduced += 1
+        assert reduced == 20
 
 
 class TestResistancePreservation:

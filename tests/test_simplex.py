@@ -14,6 +14,7 @@ from graphsimplex.errors import (
     EmptySubsetError,
     FaceTooSmallError,
     IndexOutOfRangeError,
+    NonFiniteEntryError,
     RankDeficientError,
 )
 
@@ -297,6 +298,14 @@ class TestCayleyMengerVolume:
         d = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]], float)
         with pytest.raises(DegenerateDistanceMatrixError):
             gs.cayley_menger_volume(d)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", ["1e250", "1e-250"])
+    def test_volume_beyond_the_float_range(self, w):
+        # the unit 4-cycle's volume 1/12 times w^(-3/2): 8e-377 and 8e373
+        q = laplacian("".join(f"{a} {b} {w}\n" for a, b in ("ab", "bc", "cd", "ad")))
+        with pytest.raises(NonFiniteEntryError, match="volume leaves the float range"):
+            gs.cayley_menger_volume(gs.resistance_matrix(q))
 
 
 @given(connected_graphs(max_nodes=8))
