@@ -344,7 +344,6 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         "BFS over off-diagonal support"
     )
 
-    sym = linalg.symmetric_part(scaled)
     vals = dec.eigenvalues
     mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
     zero_cut = DEFAULT.zero_eigenvalue * mu_max
@@ -358,8 +357,8 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         "single_zero_eigenvalue", n_zero == 1, f"{n_zero} zero eigenvalues"
     )
     # kernel contains the constant vector iff row sums vanish on the
-    # symmetrized matrix
-    ker_err = float(np.abs(sym @ np.ones(n)).max())
+    # symmetrized matrix, scaled as the eigh's is
+    ker_err = float(np.abs(np.ldexp(q.symmetric, -e) @ np.ones(n)).max())
     checks["constant_kernel"] = PropertyCheck(
         "constant_kernel", ker_err <= atol_scaled, f"|A u|_inf = {units(ker_err):.3e}"
     )

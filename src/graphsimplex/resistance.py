@@ -67,12 +67,12 @@ def _blocks(m: np.ndarray, mdag: np.ndarray) -> FiedlerBlocks:
 
 
 def fiedler_blocks(q: LaplacianMatrix) -> FiedlerBlocks:
-    return _blocks(q.pinv, q.matrix)
+    return _blocks(q.pinv, q.symmetric)
 
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Max-abs residuals of A @ B = I and B @ A = I for the block identity."""
+    """Max-abs residuals of A @ B = I and B @ A = (A @ B)^T = I, one value."""
 
     residual_ab: float
     residual_ba: float
@@ -87,15 +87,15 @@ class IdentityResidual:
 
 def _identity_residual(omega: np.ndarray, gram_inverse: np.ndarray,
                        r: np.ndarray, radius: float) -> IdentityResidual:
+    """One product A @ B, for exactly symmetric ``omega`` and
+    ``gram_inverse``: then A and B are symmetric too."""
     n = omega.shape[0]
     u = np.ones((n, 1))
     a = -0.5 * np.block([[np.zeros((1, 1)), u.T], [u, omega]])
     b = np.block([[np.full((1, 1), 4.0 * radius**2), -2.0 * r[None, :]],
                   [-2.0 * r[:, None], gram_inverse]])
-    return IdentityResidual(
-        residual_ab=_max_abs_minus_identity(a @ b),
-        residual_ba=_max_abs_minus_identity(b @ a),
-    )
+    residual = _max_abs_minus_identity(a @ b)
+    return IdentityResidual(residual_ab=residual, residual_ba=residual)
 
 
 def _max_abs_minus_identity(x: np.ndarray) -> float:
@@ -106,7 +106,7 @@ def _max_abs_minus_identity(x: np.ndarray) -> float:
 
 def verify_fiedler_identity(q: LaplacianMatrix) -> IdentityResidual:
     fb = fiedler_blocks(q)
-    return _identity_residual(resistance_matrix(q), q.matrix, fb.r, fb.radius)
+    return _identity_residual(resistance_matrix(q), q.symmetric, fb.r, fb.radius)
 
 
 def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
@@ -115,14 +115,15 @@ def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
 
     ``distances`` defaults to the squared-distance matrix derived from
     M = pinv(pinv_gram); pass it explicitly to verify external data, with
-    one row and column per vertex.
+    one row and column per vertex, symmetric as ``linalg.symmetrize``
+    requires.
     """
     mdag = linalg.symmetrize(pinv_gram)
     m = linalg.pinv_kernel_u(mdag)  # raises RankDeficientError
     if distances is None:
         distances = linalg.squared_distances(m)
     else:
-        distances = linalg.as_square_array(distances)
+        distances = linalg.symmetrize(distances)  # raises AsymmetricError
         if distances.shape != m.shape:
             raise DegenerateDistanceMatrixError(
                 f"distances have shape {distances.shape}, not the Gram's {m.shape}"
@@ -134,8 +135,7 @@ def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
 def inverse_resistance_matrix(q: LaplacianMatrix) -> np.ndarray:
     """Omega^{-1} = -1/2 (Q - r r^T / R^2), read off the block identity."""
     fb = fiedler_blocks(q)
-    inv = -0.5 * (q.matrix - np.outer(fb.r, fb.r) / fb.radius**2)
-    return linalg.symmetric_part(inv)
+    return -0.5 * (q.symmetric - np.outer(fb.r, fb.r) / fb.radius**2)
 
 
 @dataclass(frozen=True)

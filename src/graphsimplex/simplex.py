@@ -286,6 +286,11 @@ class CircumsphereReport:
 def circumsphere_check(emb: SimplexEmbedding, fb: FiedlerBlocks) -> CircumsphereReport:
     """All vertices must be equidistant (at radius R) from the circumcenter
     S r determined by the block identity."""
+    if emb.vertices.shape[1] != fb.r.shape[0]:
+        raise DegenerateSimplexError(
+            f"the embedding has {emb.vertices.shape[1]} vertices, "
+            f"the blocks {fb.r.shape[0]}"
+        )
     center = emb.vertices @ fb.r
     dists = np.linalg.norm(emb.vertices - center[:, None], axis=0)
     return CircumsphereReport(
@@ -302,9 +307,10 @@ def cayley_menger_volume(d) -> float:
 
     The determinant and the normalisation are taken in logs, so neither
     overflows for large n. A squared volume <= 1e-12 max(D)^(n-1) counts as
-    degenerate; NonFiniteEntryError where the volume leaves the float range.
+    degenerate; NonFiniteEntryError where the volume leaves the float range,
+    and AsymmetricError where D is not symmetric (``linalg.symmetrize``).
     """
-    m = linalg.as_square_array(d)
+    m = linalg.symmetrize(d)
     n = m.shape[0]
     bordered = np.zeros((n + 1, n + 1))
     bordered[0, 1:] = 1.0

@@ -470,3 +470,46 @@ class TestMetricScreen:
         got = resistance._pair_bounds(a.astype(float), 0)
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(got[off], want[off])
+
+
+class TestSymmetricBlocks:
+    """Both sides of the block identity are symmetric, so one product A @ B
+    decides it; a matrix that is not symmetric is refused, not averaged."""
+
+    PATH_OMEGA = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+    def test_asymmetric_distances_rejected(self):
+        d = self.PATH_OMEGA.copy()
+        d[1, 0] = 1.5
+        with pytest.raises(AsymmetricError):
+            gs.verify_identity_general(laplacian("a b 1\nb c 1").matrix, d)
+
+    def test_rounding_asymmetry_is_half_summed(self):
+        d = self.PATH_OMEGA.copy()
+        d[0, 2] *= 1.0 + 1e-13
+        mdag = laplacian("a b 1\nb c 1").matrix
+        report = gs.verify_identity_general(mdag, d)
+        assert report == gs.verify_identity_general(mdag, 0.5 * (d + d.T))
+        assert report.residual_ab == report.residual_ba <= 1e-12
+
+    def test_one_product_per_check(self, monkeypatch):
+        calls = []
+        inner = resistance._max_abs_minus_identity
+        monkeypatch.setattr(resistance, "_max_abs_minus_identity",
+                            lambda x: calls.append(x.shape) or inner(x))
+        q = gs.build_laplacian(complete_graph(4))
+        gs.verify_fiedler_identity(q)
+        assert calls == [(5, 5)]
+        gs.verify_identity_general(q.matrix, gs.resistance_matrix(q))
+        assert calls == [(5, 5)] * 2
+
+    def test_asymmetric_laplacian_answers_as_its_symmetric_part(self, small_corpus):
+        for q0 in small_corpus[:5]:
+            a = np.array(q0.matrix)
+            a[0, 1] += 1e-12 * np.diag(a).max()
+            q = gs.LaplacianMatrix.from_matrix(a)
+            assert not np.array_equal(q.matrix, q.matrix.T)
+            ref = gs.LaplacianMatrix(q.symmetric)
+            assert gs.verify_fiedler_identity(q) == gs.verify_fiedler_identity(ref)
+            got, want = gs.inverse_resistance_matrix(q), gs.inverse_resistance_matrix(ref)
+            assert got.tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 import graphsimplex as gs
 from graphsimplex.errors import (
+    AsymmetricError,
     DegenerateDistanceMatrixError,
     DegenerateSimplexError,
     DuplicateIndexError,
@@ -259,6 +260,12 @@ class TestCircumsphere:
         report = gs.circumsphere_check(gs.embed_from_laplacian(q), gs.fiedler_blocks(q))
         assert report.max_deviation <= 1e-10
 
+    def test_blocks_of_another_graph_rejected(self):
+        emb = gs.embed_from_laplacian(gs.build_laplacian(path_graph(4)))
+        fb = gs.fiedler_blocks(gs.build_laplacian(path_graph(3)))
+        with pytest.raises(DegenerateSimplexError, match="4 vertices, the blocks 3"):
+            gs.circumsphere_check(emb, fb)
+
 
 class TestCayleyMengerVolume:
     def test_segment(self):
@@ -298,6 +305,16 @@ class TestCayleyMengerVolume:
         d = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]], float)
         with pytest.raises(DegenerateDistanceMatrixError):
             gs.cayley_menger_volume(d)
+
+    def test_asymmetric_rejected(self):
+        d = np.array([[0, 1, 1], [1, 0, 1], [3, 1, 0]], float)
+        with pytest.raises(AsymmetricError):
+            gs.cayley_menger_volume(d)
+
+    def test_rounding_asymmetry_is_half_summed(self):
+        d = np.ones((4, 4)) - np.eye(4)
+        d[0, 3] *= 1.0 + 1e-13
+        assert gs.cayley_menger_volume(d) == gs.cayley_menger_volume(0.5 * (d + d.T))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w", ["1e250", "1e-250"])
