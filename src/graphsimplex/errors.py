@@ -70,7 +70,7 @@ class NoConvergenceError(GraphSimplexError):
 class RankDeficientError(GraphSimplexError):
     """Not exactly one zero eigenvalue where one was expected: several, none
     ("found 0"), a numerically zero matrix, or a smallest nonzero Laplacian
-    eigenvalue at the rounding level (``linalg.laplacian_spectrum``)."""
+    eigenvalue at the rounding level (``LaplacianMatrix.spectrum``)."""
 
 
 # --- index subsets ---

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteEntryError,
     NonPositiveWeightError,
     NotALaplacianError,
+    RankDeficientError,
     SelfLoopError,
     TooFewNodesError,
 )
@@ -154,8 +155,6 @@ def parse_graph(text: str) -> WeightedGraph:
                 labels.append(label)
         i, j = sorted((index[a], index[b]))
         accum[(i, j)] = accum.get((i, j), 0.0) + w
-    if len(labels) < 2:
-        raise TooFewNodesError(f"need at least 2 nodes, got {len(labels)}")
     links = tuple(sorted(accum))
     weights = tuple(accum[link] for link in links)
     return WeightedGraph(tuple(labels), links, weights)
@@ -225,18 +224,28 @@ class LaplacianMatrix:
         """Eigenpairs of the symmetric part (``from_matrix`` admits a small
         asymmetry), descending with the zero last; shared by every caller.
 
-        Raises NonFiniteEntryError where an eigenvalue overflows, and
-        RankDeficientError where ``linalg.laplacian_spectrum``'s rule
-        refuses, so ``pinv``, the embedding and the tree count all do; a
-        refusal is not cached, but asking again only re-applies the rule.
+        Held to one resolvability rule: the smallest nonzero eigenvalue must
+        exceed n eps mu_max, the rounding level of one double-precision eigh,
+        or its inverse is noise; the product may underflow (weights near
+        1e-310) and pass. RankDeficientError where it refuses (weights
+        spanning ~19 decades or more) and NonFiniteEntryError where an
+        eigenvalue overflows, so ``pinv``, the embedding and the tree count
+        all raise; a refusal is not cached, but asking again only re-applies
+        the rule.
         """
         e, dec = self._scaled
         with np.errstate(over="ignore"):
             mu = np.ldexp(dec.eigenvalues, e)
         if not np.isfinite(mu).all():
             raise NonFiniteEntryError("an eigenvalue overflows the float range")
+        level = self.n * np.finfo(float).eps * mu[0]
+        if self.n > 1 and not mu[-2] > level:
+            raise RankDeficientError(
+                f"the smallest nonzero Laplacian eigenvalue, {mu[-2]:.3e}, is not above "
+                f"the rounding level {level:.3e}; the weights span too many decades "
+                "for one spectrum")
         mu.setflags(write=False)
-        return linalg.laplacian_spectrum(linalg.EigenDecomposition(mu, dec.eigenvectors))
+        return linalg.EigenDecomposition(mu, dec.eigenvectors)
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
@@ -323,8 +332,9 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         "symmetric", sym_err <= atol_scaled, f"max |A - A^T| = {units(sym_err):.3e}"
     )
 
-    off = m - np.diag(np.diag(m))
-    worst_off = float(off.max(initial=0.0))
+    off = m.copy()  # unscaled: 2^-e could flush a small positive entry to 0
+    np.fill_diagonal(off, 0.0)
+    worst_off = float(off.max())
     checks["offdiag_nonpositive"] = PropertyCheck(
         "offdiag_nonpositive", worst_off <= atol, f"max off-diagonal = {worst_off:.3e}"
     )
@@ -337,10 +347,8 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         f"max |row sum| = {units(row_err):.3e}, max |col sum| = {units(col_err):.3e}",
     )
 
-    support = np.abs(m) > atol
-    np.fill_diagonal(support, False)
     checks["irreducible"] = PropertyCheck(
-        "irreducible", _connected(n, *np.nonzero(support)),
+        "irreducible", _connected(n, *np.nonzero(np.abs(off) > atol)),
         "BFS over off-diagonal support"
     )
 

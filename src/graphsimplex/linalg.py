@@ -198,27 +198,6 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
-def laplacian_spectrum(dec: EigenDecomposition) -> EigenDecomposition:
-    """``dec``, the eigendecomposition of a symmetric Laplacian, held to one
-    resolvability rule: its smallest nonzero eigenvalue must exceed
-    n eps mu_max, the rounding level of one double-precision
-    eigendecomposition, or its inverse is noise.
-
-    The rule is a product, so a spectrum whose bound underflows (weights
-    near 1e-310) passes. Raises RankDeficientError otherwise, as for
-    weights spanning ~19 decades or more.
-    """
-    mu = dec.eigenvalues  # descending, the zero last
-    level = mu.size * np.finfo(float).eps * mu[0]
-    if mu.size > 1 and not mu[-2] > level:
-        raise RankDeficientError(
-            f"the smallest nonzero Laplacian eigenvalue, {mu[-2]:.3e}, is not above "
-            f"the rounding level {level:.3e}; "
-            "the weights span too many decades for one spectrum"
-        )
-    return dec
-
-
 def _shifted_cholesky_pinv(m: np.ndarray, tol: float) -> np.ndarray | None:
     """M^dagger as ((S + cP)^{-1} - P/c) 2^-e from one Cholesky
     factorization, where S = M 2^-e, e the exponent of M's largest diagonal

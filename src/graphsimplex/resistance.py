@@ -154,6 +154,14 @@ class MetricReport:
         return self.positive_offdiag and self.violations == 0
 
 
+def check_zero_diagonal(d: np.ndarray) -> None:
+    """Require the zero diagonal of a distance matrix up to the metric
+    slack, |d_ii| <= metric_slack max|D|; NonZeroDiagonalError otherwise."""
+    scale = max(float(np.abs(d).max()), np.finfo(float).tiny)
+    if np.abs(np.diag(d)).max() > DEFAULT.metric_slack * scale:
+        raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
+
+
 def check_metric(d, mode: str = "plain") -> MetricReport:
     """Verify metric axioms on D (mode "plain") or entrywise sqrt(D)
     (mode "sqrt"): zero diagonal, symmetry, positive off-diagonal, and all
@@ -171,9 +179,7 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
         raise ValueError(f"unknown mode {mode!r}")
     m = linalg.as_square_array(d)
     n = m.shape[0]
-    scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
-    if np.abs(np.diag(m)).max() > DEFAULT.metric_slack * scale:
-        raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
+    check_zero_diagonal(m)
     if linalg.is_asymmetric(m):
         raise AsymmetricError("distance matrix is not symmetric")
     if mode == "sqrt":

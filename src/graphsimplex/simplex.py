@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteEntryError,
 )
 from .graphs import LaplacianMatrix
-from .resistance import FiedlerBlocks
+from .resistance import FiedlerBlocks, check_zero_diagonal
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     effective resistances.
 
     Raises RankDeficientError where the spectrum does not resolve the
-    smallest nonzero eigenvalue (``linalg.laplacian_spectrum``).
+    smallest nonzero eigenvalue (``LaplacianMatrix.spectrum``).
     """
     dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
@@ -85,6 +85,8 @@ def canonical_gram(vertices) -> GramPair:
     s = np.asarray(getattr(vertices, "vertices", vertices), dtype=float)
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
+    if not np.isfinite(s).all():
+        raise NonFiniteEntryError("vertex matrix contains non-finite entries")
     try:
         return _centered_pair(s.T @ s)
     except GraphSimplexError as exc:
@@ -108,7 +110,7 @@ def gram_pair_from_pinv(pinv_gram) -> GramPair:
 
 
 def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:
-    return GramPair(gram=q.pinv, pinv_gram=np.asarray(q.matrix))
+    return GramPair(gram=q.pinv, pinv_gram=q.symmetric)
 
 
 ANGLE_LABELS = ("acute", "right", "obtuse")
@@ -216,9 +218,9 @@ def dihedral_angles(gp: GramPair | LaplacianMatrix,
     The sign dead-band is relative to the largest diagonal entry; right
     angles occur exactly (path graphs), so ties classify as right. A
     Laplacian is the pseudoinverse Gram of its simplex, so for a
-    ``LaplacianMatrix`` the angles are read off Q without forming Q^dagger.
+    ``LaplacianMatrix`` the angles are read off ``symmetric``, not Q^dagger.
     """
-    m = gp.matrix if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
+    m = gp.symmetric if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
     # an exact power of two brings the diagonal near 1: the outer product
     # cannot overflow, and normal-range results are unchanged
     mdag = np.ldexp(m, -np.frexp(np.diag(m).max())[1])
@@ -308,9 +310,12 @@ def cayley_menger_volume(d) -> float:
     The determinant and the normalisation are taken in logs, so neither
     overflows for large n. A squared volume <= 1e-12 max(D)^(n-1) counts as
     degenerate; NonFiniteEntryError where the volume leaves the float range,
-    and AsymmetricError where D is not symmetric (``linalg.symmetrize``).
+    AsymmetricError where D is not symmetric (``linalg.symmetrize``) and
+    NonZeroDiagonalError where its diagonal is not zero, as ``check_metric``
+    requires (``resistance.check_zero_diagonal``).
     """
     m = linalg.symmetrize(d)
+    check_zero_diagonal(m)
     n = m.shape[0]
     bordered = np.zeros((n + 1, n + 1))
     bordered[0, 1:] = 1.0

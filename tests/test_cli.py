@@ -125,6 +125,16 @@ class TestChecks:
         doc = json.loads(out)
         assert doc == {"mode": "sqrt", "violations": 0, "passed": True}
 
+    def test_metric_check_names_the_worst_triple(self, capsys, monkeypatch, path3_file):
+        report = graphsimplex.MetricReport(
+            mode="plain", positive_offdiag=True, violations=3,
+            worst_triple=(0, 2, 1), worst_slack=0.25, slack=1e-12)
+        monkeypatch.setattr(graphsimplex.resistance, "check_metric",
+                            lambda d, mode: report)
+        code, out, err = run(capsys, ["metric-check", path3_file])
+        assert (code, err) == (1, "")
+        assert out == "3 violations (mode plain)\nworst: (a, c, b) deficit 0.25\n"
+
     def test_verify_identity(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["verify-identity", triangle_file])
         assert code == 0

@@ -77,6 +77,11 @@ class TestParseGraph:
         with pytest.raises(err):
             gs.parse_graph(doc)
 
+    @pytest.mark.parametrize("doc", ["", "# only a comment\n", "\n  \n"])
+    def test_no_data_lines_is_too_few_nodes(self, doc):
+        with pytest.raises(TooFewNodesError, match="need at least 2 nodes, got 0"):
+            gs.parse_graph(doc)
+
 
 class TestDirectConstruction:
     @pytest.mark.parametrize("labels, links, weights, err, match", [
@@ -555,6 +560,17 @@ class TestScaleFreeValidation:
             assert not report.passed and not report.spectral_passed
             assert not report.checks["zero_row_sums"].passed
         assert report.checks["symmetric"].detail == "max |A - A^T| = inf"
+
+    def test_small_positive_offdiagonal_is_seen_at_any_scale(self):
+        # 1e-300 scaled by 2^-e, e the exponent of 1e300, underflows to
+        # zero; the sign and support checks must still see it
+        m = np.array([[0.0, -1e300, 1e-300], [-1e300, 0.0, 0.0], [1e-300, 0.0, 0.0]])
+        report = gs.validate_laplacian(m)
+        assert not report.checks["offdiag_nonpositive"].passed
+        assert report.checks["offdiag_nonpositive"].detail == "max off-diagonal = 1.000e-300"
+        assert report.checks["irreducible"].passed
+        assert report.checks["irreducible"].passed == reference_irreducible(m, report.tol_scale)
+        assert not report.passed and not report.spectral_passed
 
     def test_sums_match_unscaled_reference(self, small_corpus, rng):
         specimens = [q.matrix for q in small_corpus] + [NONHYPERACUTE]

@@ -6,6 +6,7 @@ from graphsimplex import linalg
 from graphsimplex.errors import (
     AsymmetricError,
     GraphSimplexError,
+    NoConvergenceError,
     NonFiniteEntryError,
     NonSquareError,
     RankDeficientError,
@@ -63,6 +64,15 @@ class TestEigh:
         # eigenvalues 3e308 and 0: the matrix is finite, its spectrum is not
         with pytest.raises(NonFiniteEntryError):
             gs.eigh(np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]]))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        q = gs.build_laplacian(complete_graph(3))
+        for answer in (lambda: gs.eigh(q.matrix), lambda: q.spectrum):
+            with pytest.raises(NoConvergenceError, match="did not converge"):
+                answer()
 
 
 class TestLaplacianPseudoinverse:

@@ -16,6 +16,7 @@ from graphsimplex.errors import (
     FaceTooSmallError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
+    NonZeroDiagonalError,
     RankDeficientError,
 )
 
@@ -95,6 +96,19 @@ class TestCanonicalGram:
             scale = np.abs(q.matrix).max()
             assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-7 * scale
 
+    def test_one_dimensional_array_rejected(self):
+        with pytest.raises(DegenerateSimplexError, match="2-dimensional"):
+            gs.canonical_gram(np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertices_rejected(self, bad):
+        # not "affinely dependent", and no RuntimeWarning from the product
+        s = np.array([[0.0, 1.0, 0.3], [0.0, 0.0, 0.9]])
+        s[1, 2] = bad
+        with pytest.raises(NonFiniteEntryError, match="non-finite"):
+            gs.canonical_gram(s)
+
 
 def test_gram_pair_from_pinv_does_not_keep_the_callers_array():
     a = NONHYPERACUTE.copy()
@@ -125,6 +139,39 @@ class TestDihedralAngles:
         gp = gs.gram_pair_from_laplacian(gs.build_laplacian(complete_graph(3)))
         for p in gs.dihedral_angles(gp).pairs:
             assert p.cosine == pytest.approx(-0.5, rel=1e-12)  # angles of 60 degrees
+
+    def test_zero_diagonal_entry_rejected(self):
+        gp = gs.GramPair(gram=np.eye(2), pinv_gram=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(NonFiniteEntryError, match="cosine"):
+            gs.dihedral_angles(gp)
+
+
+class TestLaplacianSideReadsSymmetric:
+    """A Laplacian accepted with a small asymmetry gives the angles and the
+    Gram pair of its symmetric part, as its pinv, blocks and reductions do."""
+
+    @staticmethod
+    def asymmetric(q0):
+        a = np.array(q0.matrix)
+        a[0, 1] += 1e-12 * np.diag(a).max()
+        q = gs.LaplacianMatrix.from_matrix(a)
+        assert not np.array_equal(q.matrix, q.matrix.T)
+        return q
+
+    def test_angles_are_those_of_the_symmetric_part(self, small_corpus):
+        for q0 in small_corpus[:5]:
+            q = self.asymmetric(q0)
+            want = gs.dihedral_angles(gs.LaplacianMatrix(q.symmetric))
+            for got in (gs.dihedral_angles(q),
+                        gs.dihedral_angles(gs.gram_pair_from_laplacian(q))):
+                assert got.cosines.tobytes() == want.cosines.tobytes()
+                assert got.codes.tobytes() == want.codes.tobytes()
+
+    def test_gram_pair_holds_the_symmetric_part(self, small_corpus):
+        q = self.asymmetric(small_corpus[0])
+        assert gs.gram_pair_from_laplacian(q).pinv_gram is q.symmetric
+        q = small_corpus[0]  # exactly symmetric: no second array
+        assert gs.gram_pair_from_laplacian(q).pinv_gram is q.symmetric is q.matrix
 
 
 class TestIsHyperacute:
@@ -310,6 +357,26 @@ class TestCayleyMengerVolume:
         d = np.array([[0, 1, 1], [1, 0, 1], [3, 1, 0]], float)
         with pytest.raises(AsymmetricError):
             gs.cayley_menger_volume(d)
+
+    def test_nonzero_diagonal_rejected(self):
+        # a squared distance of 4 is a segment of length 2; the diagonal of
+        # ones is not a distance matrix's, for the volume as for check_metric
+        d = np.array([[1.0, 4.0], [4.0, 1.0]])
+        for call in (gs.cayley_menger_volume, gs.check_metric):
+            with pytest.raises(NonZeroDiagonalError):
+                call(d)
+        assert gs.cayley_menger_volume(d - np.eye(2)) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("diag, raises", [(4e-12, False), (4.000001e-12, True)])
+    def test_diagonal_rule_is_check_metrics(self, diag, raises):
+        # |d_ii| <= metric_slack max|D|, with max|D| = 4
+        d = np.array([[diag, 4.0], [4.0, 0.0]])
+        for call in (gs.cayley_menger_volume, gs.check_metric):
+            if raises:
+                with pytest.raises(NonZeroDiagonalError):
+                    call(d)
+            else:
+                call(d)
 
     def test_rounding_asymmetry_is_half_summed(self):
         d = np.ones((4, 4)) - np.eye(4)
