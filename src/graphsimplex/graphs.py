@@ -161,12 +161,14 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 class LaplacianMatrix:
-    """An n x n Laplacian with a cached symmetric part, pseudoinverse and
-    eigendecomposition, all held as read-only arrays, one cached
-    ``ValidationReport`` per ``Tolerances``, and its most recent Kron
+    """An n x n Laplacian with a cached symmetric part, grounded factor,
+    pseudoinverse and eigendecomposition, all held as read-only arrays, one
+    cached ``ValidationReport`` per ``Tolerances``, and its most recent Kron
     reduction (``schur.schur_complement``), keyed by the kept nodes in
-    order. One ``eigh`` of the symmetric part, exactly scaled,
-    serves validation, the spectrum and every answer read off it.
+    order. One certified grounded Cholesky factor of the symmetric part
+    (``linalg.grounded_factor``) serves validation's spectral verdicts, the
+    pseudoinverse, the embedding and the tree count; where its screen
+    declines, one exactly scaled ``eigh`` serves them instead.
 
     Constructed from any non-empty square array of finite entries
     (``linalg.as_square_array``), unvalidated, by trusted code paths
@@ -202,8 +204,21 @@ class LaplacianMatrix:
         return s
 
     @cached_property
+    def factor(self) -> linalg.GroundedFactor | None:
+        """``linalg.grounded_factor(symmetric)``, read-only, or None where
+        its screen declines and the spectrum answers instead."""
+        f = linalg.grounded_factor(self.symmetric)
+        if f is not None:
+            for a in (f.pivots, f.frame, f.pinv):
+                a.setflags(write=False)
+        return f
+
+    @cached_property
     def pinv(self) -> np.ndarray:
-        """Q^dagger = S^T S, read off ``spectrum`` without its last pair."""
+        """Q^dagger = S^T S, the factor's, or read off ``spectrum`` without
+        its last pair."""
+        if self.factor is not None:
+            return self.factor.pinv
         p = linalg.deflated_inverse(self.spectrum, -1)
         p.setflags(write=False)
         return p
@@ -229,9 +244,9 @@ class LaplacianMatrix:
         or its inverse is noise; the product may underflow (weights near
         1e-310) and pass. RankDeficientError where it refuses (weights
         spanning ~19 decades or more) and NonFiniteEntryError where an
-        eigenvalue overflows, so ``pinv``, the embedding and the tree count
-        all raise; a refusal is not cached, but asking again only re-applies
-        the rule.
+        eigenvalue overflows, so where ``factor`` is None, ``pinv``, the
+        embedding and the tree count all raise; a refusal is not cached, but
+        asking again only re-applies the rule.
         """
         e, dec = self._scaled
         with np.errstate(over="ignore"):
@@ -299,8 +314,11 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
 
     A plain array is wrapped in a ``LaplacianMatrix`` first. That object is
     checked once per ``Tolerances``: later calls return the report it
-    keeps. The spectral checks read the eigenvalues of the one scaled
-    ``eigh`` its spectrum comes from.
+    keeps. Where the object's grounded factor is certified
+    (``LaplacianMatrix.factor``), the positive semidefinite and single zero
+    eigenvalue checks pass, as the screen proves the eigen route would
+    find; otherwise they read the eigenvalues of the one scaled ``eigh``
+    its spectrum comes from.
     """
     if not isinstance(a, LaplacianMatrix):
         a = LaplacianMatrix(a)
@@ -318,8 +336,9 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
     # Differences, sums and the spectrum are taken of m scaled by the exact
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
-    # in the input's units. q's scaled eigh is of the same 2^-e m.
-    e, dec = q._scaled
+    # in the input's units. q's scaled eigh, where one is needed, is of the
+    # same 2^-e m.
+    e = linalg.exponent(m)
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
 
@@ -352,18 +371,26 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         "BFS over off-diagonal support"
     )
 
-    vals = dec.eigenvalues
-    mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
-    zero_cut = DEFAULT.zero_eigenvalue * mu_max
-    min_val = float(vals.min())
-    checks["positive_semidefinite"] = PropertyCheck(
-        "positive_semidefinite", min_val >= -zero_cut,
-        f"min eigenvalue = {units(min_val):.3e}"
-    )
-    n_zero = int(np.sum(np.abs(vals) <= zero_cut))
-    checks["single_zero_eigenvalue"] = PropertyCheck(
-        "single_zero_eigenvalue", n_zero == 1, f"{n_zero} zero eigenvalues"
-    )
+    if q.factor is not None:
+        # the factor's screen certifies both verdicts of the eigen route
+        certified = "certified by the grounded factor"
+        checks["positive_semidefinite"] = PropertyCheck(
+            "positive_semidefinite", True, certified)
+        checks["single_zero_eigenvalue"] = PropertyCheck(
+            "single_zero_eigenvalue", True, f"1 zero eigenvalue, {certified}")
+    else:
+        vals = q._scaled[1].eigenvalues
+        mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
+        zero_cut = DEFAULT.zero_eigenvalue * mu_max
+        min_val = float(vals.min())
+        checks["positive_semidefinite"] = PropertyCheck(
+            "positive_semidefinite", min_val >= -zero_cut,
+            f"min eigenvalue = {units(min_val):.3e}"
+        )
+        n_zero = int(np.sum(np.abs(vals) <= zero_cut))
+        checks["single_zero_eigenvalue"] = PropertyCheck(
+            "single_zero_eigenvalue", n_zero == 1, f"{n_zero} zero eigenvalues"
+        )
     # kernel contains the constant vector iff row sums vanish on the
     # symmetrized matrix, scaled as the eigh's is
     ker_err = float(np.abs(np.ldexp(q.symmetric, -e) @ np.ones(n)).max())
@@ -426,13 +453,19 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
 
 
 def spanning_tree_count(q: LaplacianMatrix) -> float:
-    """Matrix-Tree count: product of the nonzero Laplacian eigenvalues over n.
+    """Matrix-Tree count: the product of the grounded factor's pivots, the
+    determinant of Q without its last node, or where there is no factor,
+    the product of the nonzero Laplacian eigenvalues over n.
 
     Raises NonFiniteEntryError when the count overflows to inf or
     underflows to 0, as it does for ordinary weights at n = 1000.
     """
+    f = q.factor
     with np.errstate(all="ignore"):
-        tau = float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)
+        if f is not None:
+            tau = float(np.prod(f.pivots))
+        else:
+            tau = float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)
     if not np.isfinite(tau) or tau == 0.0:
         raise NonFiniteEntryError("the spanning tree count leaves the float range")
     return tau

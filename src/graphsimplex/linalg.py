@@ -1,5 +1,6 @@
-"""Dense symmetric linear algebra: eigendecompositions, Gram
-pseudoinverses, double centering and index-subset validation.
+"""Dense symmetric linear algebra: eigendecompositions, certified grounded
+Cholesky factors, Gram pseudoinverses, double centering and index-subset
+validation.
 
 Everything operates on plain float64 numpy arrays.
 """
@@ -198,74 +199,104 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
-def _shifted_cholesky_pinv(m: np.ndarray, tol: float) -> np.ndarray | None:
-    """M^dagger as ((S + cP)^{-1} - P/c) 2^-e from one Cholesky
-    factorization, where S = M 2^-e, e the exponent of M's largest diagonal
-    entry, P = uu^T/n and c is the power of two at or above |S|_inf; None
-    unless every bound derived in ``pinv_kernel_u`` is met."""
+@dataclass(frozen=True)
+class GroundedFactor:
+    """The certified grounded factor of a symmetric n x n matrix M with
+    kernel span{u}: L L^T = 2^-e M without its last row and column, e even.
+
+    With V = [L^{-1}, 0] J, J = I - uu^T/n, 2^-e V^T V is M^dagger, held as
+    ``pinv``, and ``frame``, V 2^(-e/2), is a vertex matrix of M's simplex
+    in that factor's frame (Fiedler); ``pivots``, L's squared diagonal
+    times 2^e, are the pivots of eliminating all of M's nodes but the last,
+    whose product is the determinant of M without its last node.
+    """
+
+    pivots: np.ndarray
+    frame: np.ndarray
+    pinv: np.ndarray
+
+
+def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
+    """The grounded factor of the exactly symmetric ``m`` wherever its
+    bounds certify the eigen rule of ``pinv_kernel_u`` (below); None
+    anywhere else.
+
+    With t = DEFAULT.zero_eigenvalue, S = M 2^-e has largest diagonal d in
+    [1/4, 1), e even, and N = |S|_inf; d <= mu_max <= N, since a diagonal
+    entry is a Rayleigh quotient. The screen requires
+      (1) |S u|_inf <= d t/4,  (2) Cholesky of S_g = L L^T succeeds, S_g
+      being S without its last row and column,  (3) W = L^{-1},
+      (4) N |W|_1 |W|_inf <= 1/(4t),
+    n eps N <= d t/16, so that every rounding error below, O(n eps N), is
+    at most a sixteenth of the cut, and a finite N 2^e and M^dagger.
+    Exactly, |S_g^{-1}|_2 = |W|_2^2 <= |W|_1 |W|_inf, so (4) gives
+    lambda_min(S_g) >= 4tN, and by Cauchy interlacing S's second smallest
+    eigenvalue is at least that. Writing S = S0 + E with
+    S0 = (I-P) S (I-P), P = uu^T/n, which has u in its kernel,
+    |E|_2 <= 2|S u|_2/sqrt(n) <= t d/2 by (1); by Weyl S0's other
+    eigenvalues are positive, so S's smallest lies in [-t d/2, t d/4]
+    (u^T S u/n <= |S u|_inf), and n - 1 are at or above 4tN >= 4t mu_max.
+    So the cut t mu_max has a factor 2 to spare below and 4 above. The
+    Cholesky backward error, O(n eps N) in S_g, W's relative forward error,
+    n eps cond(S_g) <= n eps/(4t) <= 1/64, and eigh's own O(n eps N) in
+    each eigenvalue all fit in that margin, and n eps mu_max <= d t/16 is
+    below the smallest nonzero eigenvalue: the eigen route would find
+    exactly the one zero, resolve the rest, and answer M^dagger. For any
+    symmetric M with kernel span{u} and a nonsingular S_g, M^dagger is
+    J [[S_g^{-1}, 0], [0, 0]] J 2^-e = V^T V 2^-e, up to the same errors.
+    """
     n = m.shape[0]
+    t = DEFAULT.zero_eigenvalue
     top = float(np.diag(m).max())
-    if not top > 0.0:
+    if n < 2 or not top > 0.0:
         return None
-    d, e = np.frexp(top)  # d = top 2^-e, in [1/2, 1)
+    d, e = np.frexp(top)
+    if e % 2:  # 2^(-e/2), the embedding's scale, is then exact
+        d, e = d / 2, e + 1
     with np.errstate(all="ignore"):  # an overflow fails a bound below
         s = np.ldexp(m, -e)
         norm = float(np.abs(s).sum(axis=1).max())
-        if not (np.abs(s.sum(axis=1)).max() <= 0.25 * tol * d
-                and n * np.finfo(float).eps * norm <= tol / 16.0 * d):
+        if not (np.abs(s.sum(axis=1)).max() <= 0.25 * t * d
+                and n * np.finfo(float).eps * norm <= t / 16.0 * d
+                and np.isfinite(np.ldexp(norm, e))):
             return None
-        shift = float(np.ldexp(1.0, np.frexp(norm)[1])) / n  # c/n, c = 2^k >= norm
-        s += shift
         try:
-            ell = np.linalg.cholesky(s)
+            ell = np.linalg.cholesky(s[:-1, :-1])
         except np.linalg.LinAlgError:
             return None
         del s
+        pivots = np.ldexp(np.square(np.diag(ell)), e)
         w = lower_inverse(ell)
         del ell
-        x = w.T @ w  # one SYRK, exactly symmetric
-        del w
-        if not norm * float(np.abs(x).sum(axis=1).max()) <= 0.25 / tol:
+        a = np.abs(w)
+        if not norm * float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()) <= 0.25 / t:
             return None
-        x -= 1.0 / (shift * n * n)
-        np.ldexp(x, -e, out=x)
-    return x if np.isfinite(x).all() else None
+        del a
+        v = np.zeros((n - 1, n))
+        v[:, :-1] = w
+        del w
+        v -= v.sum(axis=1, keepdims=True) / n  # [W, 0] J
+        p = v.T @ v  # one SYRK, exactly symmetric
+        np.ldexp(p, -e, out=p)
+        np.ldexp(v, -(e // 2), out=v)
+    if not np.isfinite(p).all():
+        return None
+    return GroundedFactor(pivots=pivots, frame=v, pinv=p)
 
 
 def pinv_kernel_u(a) -> np.ndarray:
     """Pseudoinverse of a PSD matrix whose kernel is exactly span{u}.
 
-    A shifted Cholesky factorization answers wherever it can certify the
-    eigen rule below; otherwise the single zero eigenvalue found by
-    eigendecomposition is deflated, and any further (relative) zero
-    eigenvalue raises ``RankDeficientError``.
+    The grounded factor (``grounded_factor``) answers wherever its bounds
+    certify the eigen rule: exactly one eigenvalue has |l| <= t mu_max,
+    t = DEFAULT.zero_eigenvalue. Otherwise that single zero eigenvalue,
+    found by eigendecomposition, is deflated, and any further (relative)
+    zero eigenvalue raises ``RankDeficientError``.
     """
     m = symmetrize(a)
-    # The eigen rule passes iff exactly one eigenvalue has |l| <= t mu_max
-    # (t = DEFAULT.zero_eigenvalue). In units of 2^e, S = M 2^-e has largest
-    # diagonal d in [1/2, 1) and N = |S|_inf; d <= mu_max <= N, since a
-    # diagonal entry is a Rayleigh quotient. With P = uu^T/n and the power
-    # of two c >= N, the screen requires
-    #   (1) |S u|_inf <= d t/4,  (2) Cholesky of A = S + cP succeeds,
-    #   (3) X = W^T W with W = L^{-1},  (4) N |X|_inf <= 1/(4t),
-    # and n eps N <= d t/16, so that every rounding error below, O(n eps N),
-    # is at most a sixteenth of the cut.
-    # Exactly, (4) gives lambda_min(A) = 1/|A^{-1}|_2 >= 1/|X|_inf >= 4tN,
-    # as |.|_2 <= |.|_inf for a symmetric matrix. Writing S = S0 + E with
-    # S0 = (I-P) S (I-P), which has u in its kernel, |E|_2 <= 2|S u|_2/sqrt(n)
-    # <= t d/2 <= t mu_max/2 by (1). A0 = S0 + cP has eigenvalue c >= N on u
-    # and S0's on u-perp, so by Weyl those are >= 4tN - t mu_max/2 >= 3.5tN;
-    # moving back to S by E leaves one eigenvalue within t mu_max/2 of 0
-    # and n - 1 at or above 3tN >= 3t mu_max. So the cut t mu_max has a
-    # factor 2 to spare on each side. A Cholesky backward error of
-    # O(n eps N) in A, the forward error of X, relative n eps cond(A) <=
-    # 3 n eps /(4t) <= 3/64 by (4), and eigh's own O(n eps N) error in each
-    # eigenvalue all fit in that margin, so the eigen route would find
-    # exactly the one zero, and its answer, S^dagger 2^-e, is
-    # (A^{-1} - P/c) 2^-e = (X - 1/(cn)) 2^-e up to the same errors.
-    p = _shifted_cholesky_pinv(m, DEFAULT.zero_eigenvalue)
-    if p is not None:
-        return p
+    f = grounded_factor(m)
+    if f is not None:
+        return f.pinv
     dec = eigh(m)
     vals = dec.eigenvalues
     mu_max = float(vals.max(initial=0.0))

@@ -64,13 +64,18 @@ class GramPair:
 
 
 def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
-    """Vertices (s_i)_k = (z_k)_i / sqrt(mu_k) over the nonzero eigenpairs,
-    so that S^T S = Q^dagger and squared vertex distances equal the
-    effective resistances.
+    """Vertices S with S^T S = Q^dagger, so that squared vertex distances
+    equal the effective resistances: the grounded factor's read-only
+    ``frame`` (``LaplacianMatrix.factor``), in that factor's frame; where
+    there is none, (s_i)_k = (z_k)_i / sqrt(mu_k) over the nonzero
+    eigenpairs, on the principal axes.
 
-    Raises RankDeficientError where the spectrum does not resolve the
-    smallest nonzero eigenvalue (``LaplacianMatrix.spectrum``).
+    Raises RankDeficientError where the spectrum answers and does not
+    resolve the smallest nonzero eigenvalue (``LaplacianMatrix.spectrum``).
     """
+    f = q.factor
+    if f is not None:
+        return SimplexEmbedding(vertices=f.frame)
     dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
     z = dec.eigenvectors[:, :-1]
@@ -81,18 +86,33 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
 def canonical_gram(vertices) -> GramPair:
     """Canonical Gram pair of the Simplex spanned by the given vertex
     matrix (d x n, one column per vertex), for any representative: the
-    result is invariant under rotations, reflections and translations."""
+    result is invariant under rotations, reflections and translations.
+
+    The pair is formed for 2^-e S, e the binary exponent of max|S|, and
+    scaled back by exact powers of two, so vertices times 2^k give the
+    pair times 4^k and 4^-k, bit for bit; NonFiniteEntryError where either
+    Gram leaves the float range."""
     s = np.asarray(getattr(vertices, "vertices", vertices), dtype=float)
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
     if not np.isfinite(s).all():
         raise NonFiniteEntryError("vertex matrix contains non-finite entries")
+    e = linalg.exponent(s) if s.size else 0
+    unit = np.ldexp(s, -e)
+    gram = unit.T @ unit
+    del unit
     try:
-        return _centered_pair(s.T @ s)
+        pair = _centered_pair(gram)
     except GraphSimplexError as exc:
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (rank < {s.shape[1] - 1})"
         ) from exc
+    with np.errstate(over="ignore"):
+        np.ldexp(pair.gram, 2 * e, out=pair.gram)
+        np.ldexp(pair.pinv_gram, -2 * e, out=pair.pinv_gram)
+    if not (np.isfinite(pair.gram).all() and np.isfinite(pair.pinv_gram).all()):
+        raise NonFiniteEntryError("the Gram pair leaves the float range")
+    return pair
 
 
 def _centered_pair(gram: np.ndarray) -> GramPair:
@@ -221,6 +241,9 @@ def dihedral_angles(gp: GramPair | LaplacianMatrix,
     ``LaplacianMatrix`` the angles are read off ``symmetric``, not Q^dagger.
     """
     m = gp.symmetric if isinstance(gp, LaplacianMatrix) else gp.pinv_gram
+    if not np.diag(m).min() > 0.0:
+        raise NonFiniteEntryError(
+            "a dihedral angle's cosine is undefined at a non-positive diagonal entry")
     # an exact power of two brings the diagonal near 1: the outer product
     # cannot overflow, and normal-range results are unchanged
     mdag = np.ldexp(m, -np.frexp(np.diag(m).max())[1])
@@ -230,18 +253,18 @@ def dihedral_angles(gp: GramPair | LaplacianMatrix,
     # A product below the normal range has lost bits or underflowed to 0, as
     # where the diagonal spans more than ~300 decades. Such a cosine is taken
     # in the input's units, one square root at a time, which cannot overflow
-    # since |m_ij| <= min(m_ii, m_jj) in a Laplacian. On a nonnegative
+    # since |m_ij| <= min(m_ii, m_jj) in a Laplacian. On the positive
     # diagonal the least product is the least entry squared, so the n x n
     # array is searched only when that one is low.
     tiny, least = np.finfo(float).tiny, float(diag.min())
-    low = np.nonzero(cosines < tiny) if least < 0 or least * least < tiny else None
+    low = np.nonzero(cosines < tiny) if least * least < tiny else None
     with np.errstate(divide="ignore", invalid="ignore"):
         np.sqrt(cosines, out=cosines)
         np.divide(mdag, cosines, out=cosines)
         if low is not None:
             root = np.sqrt(np.diag(m))
             cosines[low] = m[low] / root[low[0]] / root[low[1]]
-    if not np.isfinite(cosines).all():  # a zero or negative diagonal entry
+    if not np.isfinite(cosines).all():
         raise NonFiniteEntryError("a dihedral angle's cosine leaves the float range")
     codes = np.ones(mdag.shape, dtype=np.int8)
     codes[mdag > band] = 2

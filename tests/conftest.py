@@ -1,12 +1,13 @@
 import importlib.util
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from graphsimplex import WeightedGraph, build_laplacian, parse_graph
+from graphsimplex import WeightedGraph, build_laplacian, linalg, parse_graph
 
 from oracles import random_graph
 
@@ -16,6 +17,15 @@ INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@contextmanager
+def eigen_only():
+    """The grounded factor's screen switched off: inside, every Laplacian
+    and kernel-u matrix is answered by its eigendecomposition."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "grounded_factor", lambda m: None)
+        yield
 
 
 def record_shapes(monkeypatch, name):
@@ -42,14 +52,16 @@ def eigh_calls(monkeypatch):
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """The shapes of the matrices passed to np.linalg.eigvalsh during the
-    test; validation reads the one eigh, so the library calls none."""
+    test; validation reads the one factor or eigh, so the library calls
+    none."""
     return record_shapes(monkeypatch, "eigvalsh")
 
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
     """The shapes of the matrices passed to np.linalg.cholesky, the
-    factorization behind every Kron reduction, during the test."""
+    factorization behind every grounded factor and Kron reduction, during
+    the test."""
     return record_shapes(monkeypatch, "cholesky")
 
 

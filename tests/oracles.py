@@ -4,18 +4,26 @@ These deliberately avoid the code paths under test: spanning trees are
 counted by exhaustive enumeration, determinants by cofactor expansion,
 effective resistances of series-parallel networks by the textbook
 series/parallel reduction rules, and exact resistances and tree counts of
-any graph by Gauss-Jordan elimination in rational arithmetic.
+any graph by Gauss-Jordan elimination in rational arithmetic. The
+contract corpus runs every subcommand on graphs whose weights span up to
+600 decades and classifies each outcome against those exact answers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
+import sys
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from graphsimplex import WeightedGraph
+from graphsimplex import WeightedGraph, cli, parse_graph
 
 
 # --- spanning trees by enumeration ---
@@ -214,3 +222,98 @@ def complete_graph(n: int) -> WeightedGraph:
 
 def path_graph(n: int) -> WeightedGraph:
     return unit_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# --- the contract corpus: every subcommand against the exact answers ---
+
+CONTRACT_SPANS = (0, 3, 6, 10, 15, 40, 150, 300)
+CONTRACT_COMMANDS = ("laplacian", "pinv", "resistance", "embed", "angles", "metric-check",
+                     "volume", "verify-identity", "spanning-trees", "blocks")
+_CONTRACT_RTOL = Fraction(1e-11)
+
+
+def contract_corpus(seed: int):
+    """25 edge-list documents per weight span a in ``CONTRACT_SPANS``, each
+    with a random kept pair "i,j": n uniform in [3, 10], node v linked to a
+    uniform earlier node, then up to n - 1 uniform extra pairs (a repeated
+    pair is a parallel link), weights 10^U(-a, a) printed to 6 significant
+    digits."""
+    rng = np.random.default_rng(seed)
+    for a in CONTRACT_SPANS:
+        for _ in range(25):
+            n = int(rng.integers(3, 11))
+            pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            pairs += [tuple(rng.choice(n, 2, replace=False).tolist())
+                      for _ in range(int(rng.integers(0, n)))]
+            text = "".join(f"{i} {j} {10.0 ** rng.uniform(-a, a):.6g}\n" for i, j in pairs)
+            i, j = rng.choice(n, 2, replace=False).tolist()
+            yield text, f"{i},{j}"
+
+
+def run_cli(argv: list[str], text: str):
+    """(status, stdout) of ``cli.main(argv)`` reading ``text`` on stdin, with
+    RuntimeWarning an error; an exception that escapes main is the status."""
+    out = io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            status = cli.main(argv)
+    except Exception as exc:  # a traceback breaks the contract; it is counted
+        status = exc
+    finally:
+        sys.stdin = stdin
+    return status, out.getvalue()
+
+
+def _far(got: str, want: Fraction, scale: Fraction) -> bool:
+    """Whether the printed ``got`` is more than 1e-11 scale from ``want``."""
+    return abs(Fraction(float(got)) - want) > _CONTRACT_RTOL * scale
+
+
+def contract_census(seed: int) -> dict[str, list[int]]:
+    """For each outcome class, the indices of the ``contract_corpus(seed)``
+    graphs in it. The contract allows only the right answer or exit 2:
+      "traceback": an exception escapes ``cli.main``;
+      "inf or nan on exit 0": either is printed by a command that exits 0;
+      "resistance wrong": an exit-0 Omega entry more than 1e-11 max Omega
+        from ``exact_resistances``;
+      "spanning-trees wrong": an exit-0 tau more than 1e-11 relative from
+        the exact one;
+      "reduce wrong": the exit-0 reduction onto the kept pair more than
+        1e-11 relative from its exact link, 1/omega_ij;
+      "<command> exit 1": a check that fails, false for any graph;
+      "<command> refused": exit 2, which keeps the contract.
+    """
+    found = defaultdict(list)
+    for k, (text, keep) in enumerate(contract_corpus(seed)):
+        g = parse_graph(text)
+        omega, tau = exact_resistances(g)
+        a, b = (g.index_of(label) for label in keep.split(","))
+        classes = set()
+        for argv in [[c, "-"] for c in CONTRACT_COMMANDS] + [["reduce", "-", "--keep", keep]]:
+            command = argv[0]
+            status, out = run_cli(argv, text)
+            if isinstance(status, Exception):
+                classes.add("traceback")
+            elif status != 0:
+                classes.add(f"{command} {'refused' if status == 2 else f'exit {status}'}")
+            elif re.search(r"\b(inf|nan)\b", out, re.IGNORECASE):
+                classes.add("inf or nan on exit 0")
+            elif command == "resistance":
+                rows = [line.split("\t") for line in out.splitlines()[1:]]
+                top = max(max(row) for row in omega)
+                if any(_far(x, w, top) for row, want in zip(rows, omega)
+                       for x, w in zip(row, want)):
+                    classes.add("resistance wrong")
+            elif command == "spanning-trees" and _far(out, tau, tau):
+                classes.add("spanning-trees wrong")
+            elif command == "reduce":
+                link = 1 / omega[a][b]
+                if _far(out.splitlines()[1].split("\t")[1], -link, link):
+                    classes.add("reduce wrong")
+        for name in classes:
+            found[name].append(k)
+    return dict(found)

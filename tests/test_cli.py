@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import graphsimplex
 from graphsimplex import cli
 from graphsimplex.cli import main
 
-from conftest import UNRESOLVED_TREE
+from conftest import UNRESOLVED_TREE, eigen_only
 from oracles import random_graph
 
 PATH3 = "a b 1\nb c 1\n"
@@ -134,6 +135,16 @@ class TestChecks:
         code, out, err = run(capsys, ["metric-check", path3_file])
         assert (code, err) == (1, "")
         assert out == "3 violations (mode plain)\nworst: (a, c, b) deficit 0.25\n"
+
+    @pytest.mark.parametrize("n", [200, 300, 320, 340, 380, 400])
+    def test_metric_check_passes_on_unit_paths(self, capsys, monkeypatch, n):
+        # every triple on a path is tight: resistances off by more than the
+        # slack, as the spectral route's were at these sizes, read as a
+        # violation of the triangle inequality
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "".join(f"{i} {i + 1} 1\n" for i in range(n - 1))))
+        code, out, _ = run(capsys, ["metric-check", "-"])
+        assert (code, out) == (0, "0 violations (mode plain)\n")
 
     def test_verify_identity(self, capsys, triangle_file):
         code, out, _ = run(capsys, ["verify-identity", triangle_file])
@@ -257,9 +268,9 @@ def test_angles_golden_output(capsys, monkeypatch, doc, fmt):
 
 
 # Exact TSV output of every subcommand on the three fixtures; a refactor
-# must keep these bytes. They hold for one numpy/OpenBLAS build: another
-# LAPACK may pick another eigenvector basis for TRIANGLE's double eigenvalue
-# (embed) or round the residuals and near-zero entries differently.
+# must keep these bytes. Each fixture's grounded factor is certified, so
+# embed prints the factor's frame. They hold for one numpy/OpenBLAS build:
+# another LAPACK may round the residuals and near-zero entries differently.
 CLI_GOLDEN = {
     (PATH3, "laplacian"):
         "a\tb\tc\n"
@@ -278,8 +289,8 @@ CLI_GOLDEN = {
         "2\t1\t0\n",
     (PATH3, "embed"):
         "a\tb\tc\n"
-        "0.235702260396\t-0.471404520791\t0.235702260396\n"
-        "-0.707106781187\t9.71445146547e-17\t0.707106781187\n",
+        "0.666666666667\t-0.333333333333\t-0.333333333333\n"
+        "0.333333333333\t0.333333333333\t-0.666666666667\n",
     (PATH3, "angles"):
         "a\tb\t-0.707106781187\tacute\n"
         "a\tc\t0\tright\n"
@@ -295,13 +306,13 @@ CLI_GOLDEN = {
     (PATH3, "volume"):
         "0.5\n",
     (PATH3, "verify-identity"):
-        "residual_ab\t4.4408920985e-16\n"
-        "residual_ba\t4.4408920985e-16\n",
+        "residual_ab\t1.66533453694e-16\n"
+        "residual_ba\t1.66533453694e-16\n",
     (PATH3, "spanning-trees"):
         "1\n",
     (PATH3, "blocks"):
         "zeta\t0.555555555556\t0.222222222222\t0.555555555556\n"
-        "r\t0.5\t3.88578058619e-16\t0.5\n"
+        "r\t0.5\t-5.55111512313e-17\t0.5\n"
         "R\t0.707106781187\n",
     (TRIANGLE, "laplacian"):
         "a\tb\tc\n"
@@ -320,8 +331,8 @@ CLI_GOLDEN = {
         "0.666666666667\t0.666666666667\t0\n",
     (TRIANGLE, "embed"):
         "a\tb\tc\n"
-        "0.369208923195\t0.0692266730991\t-0.438435596294\n"
-        "0.293098947892\t-0.466293780737\t0.173194832845\n",
+        "0.471404520791\t-0.235702260396\t-0.235702260396\n"
+        "-1.11022302463e-16\t0.408248290464\t-0.408248290464\n",
     (TRIANGLE, "angles"):
         "a\tb\t-0.5\tacute\n"
         "a\tc\t-0.5\tacute\n"
@@ -337,8 +348,8 @@ CLI_GOLDEN = {
     (TRIANGLE, "volume"):
         "0.288675134595\n",
     (TRIANGLE, "verify-identity"):
-        "residual_ab\t2.22044604925e-16\n"
-        "residual_ba\t2.22044604925e-16\n",
+        "residual_ab\t3.33066907388e-16\n"
+        "residual_ba\t3.33066907388e-16\n",
     (TRIANGLE, "spanning-trees"):
         "3\n",
     (TRIANGLE, "blocks"):
@@ -365,9 +376,9 @@ CLI_GOLDEN = {
         "0.663716814159\t0.743362831858\t0.300884955752\t0\n",
     (QUAD, "embed"):
         'a\tb\tx"y\té\n'
-        "-0.0923831843158\t0.0535377968712\t-0.233997577924\t0.272842965368\n"
-        "-0.315264605815\t0.311708218881\t0.0923044836662\t-0.0887480967328\n"
-        "-0.362718521748\t-0.401978525342\t0.435305068368\t0.329391978722\n",
+        "0.433012701892\t-0.144337567297\t-0.144337567297\t-0.144337567297\n"
+        "0.210042012604\t0.49009802941\t-0.350070021007\t-0.350070021007\n"
+        "-0.088732763868\t-0.0241998446913\t0.330731210781\t-0.217798602221\n",
     (QUAD, "angles"):
         "a\tb\t-0.696310623823\tacute\n"
         'a\tx"y\t0\tright\n'
@@ -386,8 +397,8 @@ CLI_GOLDEN = {
     (QUAD, "volume"):
         "0.0443460070158\n",
     (QUAD, "verify-identity"):
-        "residual_ab\t4.4408920985e-16\n"
-        "residual_ba\t4.4408920985e-16\n",
+        "residual_ab\t4.57966997658e-16\n"
+        "residual_ba\t4.57966997658e-16\n",
     (QUAD, "spanning-trees"):
         "14.125\n",
     (QUAD, "blocks"):
@@ -407,20 +418,20 @@ CLI_GOLDEN_JSON = {
     (PATH3, "pinv"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0.55555555555555514, -0.11111111111111113, -0.44444444444444403], '
-        '[-0.11111111111111113, 0.22222222222222221, -0.11111111111111108], '
-        '[-0.44444444444444403, -0.11111111111111108, 0.55555555555555514]]}\n',
+        '[0.55555555555555569, -0.1111111111111111, -0.44444444444444448], '
+        '[-0.1111111111111111, 0.22222222222222224, -0.11111111111111113], '
+        '[-0.44444444444444448, -0.11111111111111113, 0.55555555555555547]]}\n',
     (PATH3, "resistance"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0, 0.99999999999999956, 1.9999999999999982], '
-        '[0.99999999999999956, 0, 0.99999999999999956], '
-        '[1.9999999999999982, 0.99999999999999956, 0]]}\n',
+        '[0, 1, 2], '
+        '[1, 0, 1], '
+        '[2, 1, 0]]}\n',
     (PATH3, "embed"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0.23570226039551576, -0.47140452079103173, 0.23570226039551592], '
-        '[-0.70710678118654724, 9.7144514654701197e-17, 0.70710678118654724]]}\n',
+        '[0.66666666666666674, -0.33333333333333331, -0.33333333333333331], '
+        '[0.33333333333333337, 0.33333333333333337, -0.66666666666666663]]}\n',
     (PATH3, "reduce --keep a,c"):
         '{"labels": ["a", "c"], '
         '"rows": ['
@@ -431,16 +442,16 @@ CLI_GOLDEN_JSON = {
     (PATH3, "metric-check --sqrt"):
         '{"mode": "sqrt", "violations": 0, "passed": true}\n',
     (PATH3, "volume"):
-        '0.49999999999999994\n',
+        '0.50000000000000011\n',
     (PATH3, "verify-identity"):
-        '{"residual_ab": 4.4408920985006262e-16, "residual_ba": 4.4408920985006262e-16, '
+        '{"residual_ab": 1.6653345369377348e-16, "residual_ba": 1.6653345369377348e-16, '
         '"passed": true}\n',
     (PATH3, "spanning-trees"):
         '1\n',
     (PATH3, "blocks"):
-        '{"zeta": [0.55555555555555514, 0.22222222222222221, 0.55555555555555514], '
-        '"r": [0.49999999999999978, 3.8857805861880479e-16, 0.49999999999999978], '
-        '"R": 0.70710678118654724}\n',
+        '{"zeta": [0.55555555555555569, 0.22222222222222224, 0.55555555555555547], '
+        '"r": [0.5, -5.5511151231257827e-17, 0.49999999999999994], '
+        '"R": 0.70710678118654746}\n',
     (TRIANGLE, "laplacian"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
@@ -450,20 +461,20 @@ CLI_GOLDEN_JSON = {
     (TRIANGLE, "pinv"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0.22222222222222221, -0.11111111111111109, -0.11111111111111109], '
-        '[-0.11111111111111109, 0.22222222222222221, -0.11111111111111109], '
-        '[-0.11111111111111109, -0.11111111111111109, 0.22222222222222215]]}\n',
+        '[0.22222222222222221, -0.11111111111111113, -0.11111111111111105], '
+        '[-0.11111111111111113, 0.22222222222222224, -0.11111111111111117], '
+        '[-0.11111111111111105, -0.11111111111111117, 0.22222222222222224]]}\n',
     (TRIANGLE, "resistance"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0, 0.66666666666666663, 0.66666666666666652], '
-        '[0.66666666666666663, 0, 0.66666666666666652], '
-        '[0.66666666666666652, 0.66666666666666652, 0]]}\n',
+        '[0, 0.66666666666666674, 0.66666666666666652], '
+        '[0.66666666666666674, 0, 0.66666666666666685], '
+        '[0.66666666666666652, 0.66666666666666685, 0]]}\n',
     (TRIANGLE, "embed"):
         '{"labels": ["a", "b", "c"], '
         '"rows": ['
-        '[0.36920892319523663, 0.06922667309910692, -0.43843559629434348], '
-        '[0.29309894789172491, -0.46629378073683508, 0.17319483284511011]]}\n',
+        '[0.47140452079103168, -0.23570226039551581, -0.23570226039551581], '
+        '[-1.1102230246251565e-16, 0.40824829046386307, -0.40824829046386307]]}\n',
     (TRIANGLE, "reduce --keep b,c"):
         '{"labels": ["b", "c"], '
         '"rows": ['
@@ -476,13 +487,13 @@ CLI_GOLDEN_JSON = {
     (TRIANGLE, "volume"):
         '0.28867513459481292\n',
     (TRIANGLE, "verify-identity"):
-        '{"residual_ab": 2.2204460492503131e-16, "residual_ba": 2.2204460492503131e-16, '
+        '{"residual_ab": 3.3306690738754696e-16, "residual_ba": 3.3306690738754696e-16, '
         '"passed": true}\n',
     (TRIANGLE, "spanning-trees"):
         '3\n',
     (TRIANGLE, "blocks"):
-        '{"zeta": [0.22222222222222221, 0.22222222222222221, 0.22222222222222215], '
-        '"r": [0.33333333333333337, 0.33333333333333337, 0.33333333333333326], '
+        '{"zeta": [0.22222222222222221, 0.22222222222222224, 0.22222222222222224], '
+        '"r": [0.33333333333333326, 0.33333333333333331, 0.33333333333333337], '
         '"R": 0.47140452079103168}\n',
     (QUAD, "laplacian"):
         '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
@@ -494,30 +505,30 @@ CLI_GOLDEN_JSON = {
     (QUAD, "pinv"):
         '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
         '"rows": ['
-        '[0.23949115044247776, 0.042588495575221083, -0.1653761061946902, '
-        '-0.1167035398230088], '
-        '[0.042588495575221083, 0.26161504424778759, -0.1587389380530973, '
-        '-0.14546460176991149], '
-        '[-0.1653761061946902, -0.1587389380530973, 0.25276548672566379, '
-        '0.071349557522123908], '
-        '[-0.1167035398230088, -0.14546460176991149, 0.071349557522123908, '
+        '[0.23949115044247801, 0.042588495575221319, -0.16537610619469034, '
+        '-0.11670353982300896], '
+        '[0.042588495575221319, 0.2616150442477877, -0.15873893805309738, '
+        '-0.14546460176991161], '
+        '[-0.16537610619469034, -0.15873893805309738, 0.25276548672566379, '
+        '0.071349557522123991], '
+        '[-0.11670353982300896, -0.14546460176991161, 0.071349557522123991, '
         '0.19081858407079658]]}\n',
     (QUAD, "resistance"):
         '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
         '"rows": ['
-        '[0, 0.4159292035398231, 0.82300884955752196, 0.66371681415929196], '
-        '[0.4159292035398231, 0, 0.83185840707964598, 0.74336283185840712], '
-        '[0.82300884955752196, 0.83185840707964598, 0, 0.30088495575221252], '
-        '[0.66371681415929196, 0.74336283185840712, 0.30088495575221252, 0]]}\n',
+        '[0, 0.4159292035398231, 0.82300884955752251, 0.66371681415929251], '
+        '[0.4159292035398231, 0, 0.8318584070796462, 0.74336283185840746], '
+        '[0.82300884955752251, 0.8318584070796462, 0, 0.30088495575221236], '
+        '[0.66371681415929251, 0.74336283185840746, 0.30088495575221236, 0]]}\n',
     (QUAD, "embed"):
         '{"labels": ["a", "b", "x\\"y", "\\u00e9"], '
         '"rows": ['
-        '[-0.092383184315829273, 0.053537796871214675, -0.23399757792376535, '
-        '0.2728429653683801], '
-        '[-0.31526460581458327, 0.3117082188812102, 0.0923044836661948, '
-        '-0.088748096732821691], '
-        '[-0.3627185217475401, -0.40197852534167505, 0.43530506836768201, '
-        '0.32939197872153358]]}\n',
+        '[0.43301270189221941, -0.14433756729740646, -0.14433756729740646, '
+        '-0.14433756729740646], '
+        '[0.21004201260420163, 0.49009802940980352, -0.35007002100700257, '
+        '-0.35007002100700257], '
+        '[-0.088732763868000497, -0.024199844691272815, 0.33073121078072931, '
+        '-0.21779860222145597]]}\n',
     (QUAD, 'reduce --keep x"y,é'):
         '{"labels": ["x\\"y", "\\u00e9"], '
         '"rows": ['
@@ -528,18 +539,18 @@ CLI_GOLDEN_JSON = {
     (QUAD, "metric-check --sqrt"):
         '{"mode": "sqrt", "violations": 0, "passed": true}\n',
     (QUAD, "volume"):
-        '0.044346007015849287\n',
+        '0.044346007015849266\n',
     (QUAD, "verify-identity"):
-        '{"residual_ab": 4.4408920985006262e-16, "residual_ba": 4.4408920985006262e-16, '
+        '{"residual_ab": 4.5796699765787707e-16, "residual_ba": 4.5796699765787707e-16, '
         '"passed": true}\n',
     (QUAD, "spanning-trees"):
-        '14.124999999999995\n',
+        '14.124999999999991\n',
     (QUAD, "blocks"):
-        '{"zeta": [0.23949115044247776, 0.26161504424778759, 0.25276548672566379, '
+        '{"zeta": [0.23949115044247801, 0.2616150442477877, 0.25276548672566379, '
         '0.19081858407079658], '
-        '"r": [0.25221238938053081, 0.28318584070796465, 0.34070796460176983, '
-        '0.12389380530973471], '
-        '"R": 0.49011291194767309}\n',
+        '"r": [0.25221238938053103, 0.28318584070796454, 0.34070796460176977, '
+        '0.12389380530973459], '
+        '"R": 0.4901129119476732}\n',
 }
 GOLDEN_NAMES = {PATH3: "path3", TRIANGLE: "triangle", QUAD: "quad"}
 GOLDEN_TABLES = {"tsv": CLI_GOLDEN, "json": CLI_GOLDEN_JSON}
@@ -671,7 +682,9 @@ class TestRangeErrors:
         assert "cannot allocate" in err
 
 
-def test_volume_reads_the_shared_spectrum(capsys, monkeypatch, eigh_calls, rng):
+def test_volume_reads_the_shared_spectrum(capsys, monkeypatch, eigh_calls, cholesky_calls, rng):
+    # the embedding comes off the Laplacian's one grounded factor, or with
+    # its screen off, off its one spectrum
     built = []
 
     def build(g):
@@ -682,11 +695,18 @@ def test_volume_reads_the_shared_spectrum(capsys, monkeypatch, eigh_calls, rng):
     g = random_graph(rng, n=6)
     doc = "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
                   for (i, j), w in zip(g.links, g.weights))
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-    code, out, _ = run(capsys, ["volume", "-"])
-    assert code == 0 and float(out) > 0.0
+    volumes = []
+    for route in (nullcontext, eigen_only):
+        with route():
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            code, out, _ = run(capsys, ["volume", "-"])
+        assert code == 0 and float(out) > 0.0
+        volumes.append(float(out))
+    assert cholesky_calls == [(5, 5)]
     assert eigh_calls == [(6, 6)]
-    assert "spectrum" in vars(built[0])
+    assert "factor" in vars(built[0]) and "spectrum" not in vars(built[0])
+    assert "spectrum" in vars(built[1])
+    assert volumes[0] == pytest.approx(volumes[1], rel=1e-10)
 
 
 def reference_tsv(labels, matrix):

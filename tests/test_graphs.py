@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from graphsimplex.errors import (
     TooFewNodesError,
 )
 
-from conftest import UNRESOLVED_TREE, connected_graphs
+from conftest import UNRESOLVED_TREE, connected_graphs, eigen_only
 from oracles import (
     complete_graph,
     count_spanning_trees_brute,
@@ -309,39 +310,47 @@ class TestLaplacianCaches:
             assert np.array_equal(q.spectrum.eigenvalues, dec.eigenvalues)
             assert np.array_equal(q.spectrum.eigenvectors, dec.eigenvectors)
 
-    def test_embed_and_trees_share_one_eigh(self, eigh_calls, rng):
-        q = gs.build_laplacian(random_graph(rng, n=12))
-        gs.embed_from_laplacian(q)
-        gs.spanning_tree_count(q)
-        gs.embed_from_laplacian(q)
+    def test_embed_and_trees_share_one_eigh(self, eigh_calls, cholesky_calls, rng):
+        # one grounded factor serves both; with its screen off, one eigh
+        g = random_graph(rng, n=12)
+        for route in (nullcontext, eigen_only):
+            with route():
+                q = gs.build_laplacian(g)
+                gs.embed_from_laplacian(q)
+                gs.spanning_tree_count(q)
+                gs.embed_from_laplacian(q)
+        assert cholesky_calls == [(11, 11)]
         assert eigh_calls == [(12, 12)]
 
-    def test_graph_from_laplacian_reads_the_validation(self, eigh_calls, eigvalsh_calls, rng):
+    def test_graph_from_laplacian_reads_the_validation(self, eigh_calls, eigvalsh_calls,
+                                                       cholesky_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=9))
         report = gs.validate_laplacian(q)
         gs.graph_from_laplacian(q)
-        assert eigh_calls == [(9, 9)]
+        assert cholesky_calls == [(8, 8)]
+        assert eigh_calls == []
         assert eigvalsh_calls == []
         assert gs.validate_laplacian(q) is report
         assert_same_report_but_min_eigenvalue(report, gs.validate_laplacian(q.matrix), q)
 
-    def test_from_matrix_keeps_its_report(self, eigh_calls, eigvalsh_calls, rng):
+    def test_from_matrix_keeps_its_report(self, eigh_calls, eigvalsh_calls, cholesky_calls, rng):
         q = gs.LaplacianMatrix.from_matrix(gs.build_laplacian(random_graph(rng, n=7)).matrix)
-        assert eigh_calls == [(7, 7)]
+        assert cholesky_calls == [(6, 6)]
         assert gs.validate_laplacian(q).passed
         q.pinv
-        assert eigh_calls == [(7, 7)]
-        assert eigvalsh_calls == []
+        assert cholesky_calls == [(6, 6)]
+        assert eigh_calls == eigvalsh_calls == []
 
-    def test_each_tolerance_has_its_own_report(self, eigh_calls, eigvalsh_calls, rng):
+    def test_each_tolerance_has_its_own_report(self, eigh_calls, eigvalsh_calls,
+                                               cholesky_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=8))
         default = gs.validate_laplacian(q)
         loose = gs.validate_laplacian(q, gs.Tolerances(1e-6))
         assert loose is not default
         assert loose.tol_scale == 1e3 * default.tol_scale
         assert gs.validate_laplacian(q, gs.Tolerances(validation=1e-6)) is loose
-        assert eigh_calls == [(8, 8)]  # two Tolerances, one decomposition
-        assert eigvalsh_calls == []
+        assert cholesky_calls == [(7, 7)]  # two Tolerances, one factor
+        assert eigh_calls == eigvalsh_calls == []
         for tol, report in ((gs.DEFAULT, default), (gs.Tolerances(1e-6), loose)):
             assert_same_report_but_min_eigenvalue(report, gs.validate_laplacian(q.matrix, tol), q)
 
@@ -366,15 +375,18 @@ class TestLaplacianCaches:
 
 
 def assert_same_report_but_min_eigenvalue(report, raw, q):
-    """``report``, read off q's shared eigh, equals ``raw``, the report of
-    q.matrix as a plain array, in every verdict and every detail but the
-    digits of the min eigenvalue, which must be within n eps mu_max of 0."""
+    """``report``, read off q's shared factor or eigh, equals ``raw``, the
+    report of q.matrix as a plain array, in every verdict and every detail
+    but, on the eigen route, the digits of the min eigenvalue, which must be
+    within n eps mu_max of 0."""
     assert report.tol_scale == raw.tol_scale
     assert list(report.checks) == list(raw.checks)
     for name, check in report.checks.items():
         assert check.passed == raw.checks[name].passed
-        if name != "positive_semidefinite":
+        if name != "positive_semidefinite" or q.factor is not None:
             assert check == raw.checks[name]
+    if q.factor is not None:
+        return
     prefix = "min eigenvalue = "
     detail = report.checks["positive_semidefinite"].detail
     assert detail.startswith(prefix)
@@ -412,20 +424,29 @@ SWEEP_SCALES = [-300, -250, -100, -8, 0, 12, 100, 250, 300]
 
 
 class TestValidationReadsTheSharedSpectrum:
-    def test_one_eigh_per_laplacian(self, eigh_calls, eigvalsh_calls, rng):
-        q = gs.build_laplacian(random_graph(rng, n=11))
-        assert gs.validate_laplacian(q).passed
-        gs.graph_from_laplacian(q)
-        q.pinv
-        gs.embed_from_laplacian(q)
-        gs.spanning_tree_count(q)
+    def test_one_eigh_per_laplacian(self, eigh_calls, eigvalsh_calls, cholesky_calls, rng):
+        # one grounded factor per Laplacian; with its screen off, one eigh
+        g = random_graph(rng, n=11)
+        for route in (nullcontext, eigen_only):
+            with route():
+                q = gs.build_laplacian(g)
+                assert gs.validate_laplacian(q).passed
+                gs.graph_from_laplacian(q)
+                q.pinv
+                gs.embed_from_laplacian(q)
+                gs.spanning_tree_count(q)
+        assert cholesky_calls == [(10, 10)]
         assert eigh_calls == [(11, 11)]
         assert eigvalsh_calls == []
 
-    def test_plain_arrays_take_one_eigh(self, eigh_calls, eigvalsh_calls, rng):
+    def test_plain_arrays_take_one_eigh(self, eigh_calls, eigvalsh_calls, cholesky_calls, rng):
+        # one factor per plain array; with the screen off, one eigh
         m = gs.build_laplacian(random_graph(rng, n=10)).matrix
-        gs.graph_from_laplacian(m)
-        gs.LaplacianMatrix.from_matrix(m)
+        for route in (nullcontext, eigen_only):
+            with route():
+                gs.graph_from_laplacian(m)
+                gs.LaplacianMatrix.from_matrix(m)
+        assert cholesky_calls == [(9, 9), (9, 9)]
         assert eigh_calls == [(10, 10), (10, 10)]
         assert eigvalsh_calls == []
 
@@ -534,10 +555,13 @@ class TestScaleFreeValidation:
             specimens.append(a + a.T)
         prefix = "min eigenvalue = "
         for m in specimens:
-            report = gs.validate_laplacian(m)
+            with eigen_only():
+                report = gs.validate_laplacian(m)
             reference = reference_spectral_checks(m)
             for name, (passed, detail) in reference.items():
                 assert report.checks[name].passed == passed
+                # the grounded factor, where it is certified, agrees
+                assert gs.validate_laplacian(m).checks[name].passed == passed
             zeros = report.checks["single_zero_eigenvalue"].detail
             assert zeros == reference["single_zero_eigenvalue"][1]
             # the min eigenvalue comes from eigh, not eigvalsh: within

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from graphsimplex.errors import (
     RankDeficientError,
 )
 
-from conftest import UNRESOLVED_TREE, record_shapes
+from conftest import UNRESOLVED_TREE, eigen_only, record_shapes
 from oracles import complete_graph, random_graph
 
 
@@ -198,17 +200,21 @@ class TestDoubleCenter:
 
 
 class TestOnePseudoinverseRoute:
-    def test_every_laplacian_answer_reads_one_eigh(self, monkeypatch, eigh_calls, rng):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("np.linalg.solve called")
-
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
-        q = gs.build_laplacian(random_graph(rng, n=9))
-        gs.resistance_matrix(q)
-        gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
-        gs.verify_fiedler_identity(q)
-        gs.embed_from_laplacian(q)
-        gs.spanning_tree_count(q)
+    def test_every_laplacian_answer_reads_one_eigh(self, monkeypatch, eigh_calls,
+                                                   cholesky_calls, rng):
+        # one grounded factor, whose inverse is one leaf solve; with its
+        # screen off, one eigh and no solve
+        solve_calls = record_shapes(monkeypatch, "solve")
+        g = random_graph(rng, n=9)
+        for route in (nullcontext, eigen_only):
+            with route():
+                q = gs.build_laplacian(g)
+                gs.resistance_matrix(q)
+                gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
+                gs.verify_fiedler_identity(q)
+                gs.embed_from_laplacian(q)
+                gs.spanning_tree_count(q)
+        assert cholesky_calls == solve_calls == [(8, 8)]
         assert eigh_calls == [(9, 9)]
 
     def test_pinv_is_the_gram_of_the_embedding(self, small_corpus):
@@ -331,10 +337,9 @@ def outcome(m):
 
 
 def eigen_outcome(m):
-    """``outcome`` with the Cholesky screen off: deflated_inverse(eigh(m), .)
-    under the eigen rule, as the only route."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_shifted_cholesky_pinv", lambda m, tol: None)
+    """``outcome`` with the grounded factor's screen off:
+    deflated_inverse(eigh(m), .) under the eigen rule, as the only route."""
+    with eigen_only():
         return outcome(m)
 
 
@@ -364,7 +369,7 @@ class TestCholeskyScreen:
                 mu[rng.integers(0, n - 1)] *= -1.0
             scale = 10.0 ** rng.uniform(-250, 250)
             m = kernel_u_matrix(rng, np.concatenate([[0.0], rng.permutation(mu)]) * scale)
-            certified += linalg._shifted_cholesky_pinv(m, 1e-10) is not None
+            certified += linalg.grounded_factor(m) is not None
             got, want = outcome(m), eigen_outcome(m)
             if isinstance(want, tuple) or isinstance(got, tuple):
                 assert isinstance(got, tuple) and isinstance(want, tuple) and got == want
@@ -389,7 +394,7 @@ class TestCholeskyScreen:
             m = kernel_u_matrix(rng, [0.0, 1.0, 0.5, 0.3, 2e-10])
         else:  # the pseudoinverse has entries near 1e309
             m = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\n")).matrix
-        assert linalg._shifted_cholesky_pinv(m, 1e-10) is None
+        assert linalg.grounded_factor(m) is None
         got = outcome(m)
         assert eigh_calls == [m.shape]
         if case == "positive definite":
@@ -406,6 +411,72 @@ class TestCholeskyScreen:
     def test_canonical_gram_factors_once(self, eigh_calls, cholesky_calls, rng):
         q = gs.build_laplacian(random_graph(rng, n=30))
         gp = gs.canonical_gram(gs.embed_from_laplacian(q))
-        assert eigh_calls == [(30, 30)]  # the spectrum
-        assert cholesky_calls == [(30, 30)]
+        assert eigh_calls == []
+        assert cholesky_calls == [(29, 29), (29, 29)]  # Q's grounded factor, then M's
         assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-12 * np.abs(q.matrix).max()
+
+
+# The Laplacian-side answers, each an array or the type and message of its
+# error: the same on the grounded factor as on the eigen route
+LAPLACIAN_ANSWERS = {
+    "pinv": lambda q: q.pinv,
+    "omega": gs.resistance_matrix,
+    "distances": lambda q: gs.embed_from_laplacian(q).squared_distances(),
+    "trees": gs.spanning_tree_count,
+    "zeta": lambda q: gs.fiedler_blocks(q).zeta,
+    "radius": lambda q: gs.fiedler_blocks(q).radius,
+}
+
+
+def laplacian_outcomes(m):
+    q = gs.LaplacianMatrix(m)
+    report = gs.validate_laplacian(q)
+    got = {"verdicts": ({name: c.passed for name, c in report.checks.items()},
+                        report.passed, report.spectral_passed, report.consistent)}
+    for name, answer in LAPLACIAN_ANSWERS.items():
+        try:
+            got[name] = np.asarray(answer(q), dtype=float)
+        except GraphSimplexError as exc:
+            got[name] = (type(exc), str(exc))
+    return got
+
+
+LAPLACIAN_SPECIMENS = {
+    "unresolved-tree": UNRESOLVED_TREE,
+    "tree-500-decades": "4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n"
+                        "2 3 1.9e206\n1 5 1.3e-300\n",
+    "path-8e307": "a b 8e307\nb c 8e307\n",
+    "cycle-1e-310": "a b 1e-310\nb c 1e-310\nc d 1e-310\na d 1e-310\n",
+    # a pendant link near t mu_max = 3e-10, on both sides of the eigen
+    # rule's cut; the screen first certifies at 9.6e-9
+    **{f"link-{w:g}": f"a b 1\nb c 1\nc d {w!r}\n"
+       for w in (7.5e-11 * 2.0**k for k in range(9))},
+}
+
+
+class TestLaplacianScreen:
+    @pytest.mark.parametrize("doc", list(LAPLACIAN_SPECIMENS.values()),
+                             ids=list(LAPLACIAN_SPECIMENS))
+    def test_specimens_answer_as_the_eigen_route(self, doc):
+        self.assert_same_outcomes(gs.build_laplacian(gs.parse_graph(doc)).matrix)
+
+    def test_corpus_answers_as_the_eigen_route(self, small_corpus):
+        for q in small_corpus:
+            assert gs.LaplacianMatrix(q.matrix).factor is not None
+            self.assert_same_outcomes(q.matrix)
+
+    @staticmethod
+    def assert_same_outcomes(m):
+        got = laplacian_outcomes(m)
+        with eigen_only():
+            want = laplacian_outcomes(m)
+        assert got["verdicts"] == want["verdicts"]
+        mu = np.sort(np.abs(np.linalg.eigvalsh(m)))
+        kappa = mu[-1] / max(mu[1], np.finfo(float).tiny)
+        for name in LAPLACIAN_ANSWERS:
+            if isinstance(want[name], tuple) or isinstance(got[name], tuple):
+                assert got[name] == want[name], name
+                continue
+            scale = np.abs(want[name]).max()
+            err = np.abs(got[name] - want[name]).max()
+            assert err <= 20 * kappa * np.finfo(float).eps * scale, name

@@ -6,6 +6,8 @@ pseudoinverse, resistances scale as 1/s, and neither the angle codes nor
 the validation verdicts change. Multiplied by 4^k instead, every
 Laplacian-side answer scales by an exact power of two, bitwise, and so does
 every Gram-side answer when a kernel-u matrix is multiplied by 4^k.
+``canonical_gram`` answers wherever its pair fits the float range and
+raises NonFiniteEntryError beyond it.
 """
 
 import warnings
@@ -15,7 +17,6 @@ import pytest
 
 import graphsimplex as gs
 from graphsimplex import linalg
-from graphsimplex.config import DEFAULT
 from graphsimplex.errors import NonFiniteEntryError
 
 from conftest import sized_graph
@@ -112,8 +113,9 @@ def answers(g):
 
 @pytest.mark.parametrize("k", POWERS_OF_4)
 def test_laplacian_answers_scale_bitwise_by_powers_of_4(k):
-    # one eigh of Q scaled by an exact power of two serves every answer, so
-    # weights times 4^k scale each one by an exact power of two
+    # one grounded factor (and one eigh, for "mu") of Q scaled by an exact
+    # power of two serves every answer, so weights times 4^k scale each one
+    # by an exact power of two
     g = random_graph(np.random.default_rng(5), 60)
     want, want_verdicts = answers(g)
     got, got_verdicts = answers(
@@ -147,16 +149,39 @@ def gram_answers(v, a):
     }
 
 
-# condition 5e9 fails the Cholesky screen's bound N |X|_inf <= 1/(4t), so
-# pinv_kernel_u deflates its eigendecomposition; condition 10 passes it
+# condition 5e9 fails the grounded factor's bound N |W|_1 |W|_inf <= 1/(4t),
+# so pinv_kernel_u deflates its eigendecomposition; condition 10 passes it
 @pytest.mark.parametrize("condition", [10.0, 5e9], ids=["cholesky", "eigh"])
 @pytest.mark.parametrize("k", POWERS_OF_4)
 def test_gram_answers_scale_bitwise_by_powers_of_4(condition, k):
     # the eigh route decomposes A scaled by an exact power of two
     v, a = kernel_u_pair(condition)
-    screened = linalg._shifted_cholesky_pinv(a, DEFAULT.zero_eigenvalue) is not None
+    screened = linalg.grounded_factor(a) is not None
     assert screened == (condition < 1e9)
     want = gram_answers(v, a)
     got = gram_answers(np.ldexp(v, k), np.ldexp(a, 2 * k))
     for name, (power, value) in want.items():
         assert np.array_equal(got[name][1], np.ldexp(value, power * k)), name
+
+
+VERTICES = np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_canonical_gram_at_extreme_vertex_scales(scale):
+    # the pair is formed for vertices scaled by 2^-e and scaled back, so it
+    # answers wherever both Grams fit the float range
+    want = gs.canonical_gram(VERTICES)
+    got = gs.canonical_gram(VERTICES * scale)
+    assert np.abs(got.gram / scale**2 - want.gram).max() <= 1e-14 * np.abs(want.gram).max()
+    assert (np.abs(got.pinv_gram * scale**2 - want.pinv_gram).max()
+            <= 1e-14 * np.abs(want.pinv_gram).max())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_canonical_gram_beyond_the_float_range_is_refused(scale):
+    # Gram entries near 1e+-400: a typed refusal, not "affinely dependent"
+    with pytest.raises(NonFiniteEntryError, match="^the Gram pair leaves the float range$"):
+        gs.canonical_gram(VERTICES * scale)

@@ -419,10 +419,11 @@ class TestKeptReduction:
         gs.check_resistance_preservation(q, v)
         assert gs.schur_complement(q, v) is reduced
         gs.check_quotient(q, v, w)
-        # V's 20 eliminated nodes, then check_quotient's one-shot reduction
-        # onto W, its second stage from V, and its seeded order in one
-        # factorization
-        assert cholesky_calls == [(20, 20), (35, 35), (15, 15), (35, 35)]
+        # V's 20 eliminated nodes; the grounded factors of the reduction and
+        # of Q, whose resistances are compared; then check_quotient's
+        # one-shot reduction onto W, its second stage from V, and its seeded
+        # order in one factorization
+        assert cholesky_calls == [(20, 20), (19, 19), (39, 39), (35, 35), (15, 15), (35, 35)]
 
     def test_another_order_misses(self, graph, cholesky_calls):
         q, v, _ = graph

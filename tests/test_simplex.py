@@ -145,6 +145,12 @@ class TestDihedralAngles:
         with pytest.raises(NonFiniteEntryError, match="cosine"):
             gs.dihedral_angles(gp)
 
+    def test_negative_diagonal_rejected(self):
+        # cosines -1 and 1 would come out, and the pair would read obtuse
+        gp = gs.GramPair(gram=np.eye(2), pinv_gram=np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(NonFiniteEntryError, match="non-positive diagonal entry"):
+            gs.dihedral_angles(gp)
+
 
 class TestLaplacianSideReadsSymmetric:
     """A Laplacian accepted with a small asymmetry gives the angles and the
