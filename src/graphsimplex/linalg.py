@@ -37,10 +37,17 @@ def as_square_array(a) -> np.ndarray:
 
 
 def symmetric_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^T)/2, exactly symmetric, formed as M/2 + M^T/2 so that it
-    cannot overflow for finite M."""
-    h = 0.5 * m
-    return h + h.T
+    """(M + M^T)/2, exactly symmetric and rounded once, for finite M: the
+    sum M + M^T halved (a sum that rounds is at least 2^-1021, so its half
+    is exact), or M/2 + M^T/2 where that sum overflows (no half of an entry
+    that large rounds, and the other's half is far below its ulp)."""
+    with np.errstate(over="ignore"):
+        s = m + m.T
+    s *= 0.5
+    far = np.isinf(s)
+    if far.any():
+        s[far] = 0.5 * m[far] + 0.5 * m.T[far]
+    return s
 
 
 def exponent(m: np.ndarray) -> int:

@@ -508,6 +508,21 @@ class TestAcceptedAsymmetry:
                               gs.embed_from_laplacian(sym).vertices)
 
 
+    def test_subnormal_asymmetry_is_half_summed_once(self):
+        # a 30-node Laplacian times 1e-310, with a 1e-13 asymmetry: the
+        # constant-kernel detail reads the exact half-sum, as that of the
+        # scaled matrix; halving each subnormal entry first gave 2.470e-322
+        m = gs.build_laplacian(random_graph(np.random.default_rng(119), n=30)).matrix.copy()
+        m[0, 1] += 1e-13 * np.abs(m).max()
+        m *= 1e-310
+        detail = gs.validate_laplacian(gs.LaplacianMatrix(m)).checks["constant_kernel"].detail
+        assert detail == "|A u|_inf = 2.372e-322"
+        e = int(np.frexp(np.abs(m).max())[1])
+        scaled = np.ldexp(m, -e)
+        ker = np.abs(0.5 * (scaled + scaled.T) @ np.ones(30)).max()
+        assert detail == f"|A u|_inf = {float(np.ldexp(ker, e)):.3e}"
+
+
 def reference_spectral_checks(m, tol=gs.DEFAULT):
     """The unscaled spectral checks validate_laplacian ran before it scaled
     the matrix: (passed, detail) of the two eigenvalue properties."""

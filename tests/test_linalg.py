@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +127,22 @@ class TestSymmetricPart:
         m = np.array([[1.6e308, -8e307], [-8e307, 8e307]])
         with np.errstate(over="raise"):
             assert np.array_equal(linalg.symmetrize(m), m)
+
+    def test_rounded_once(self, rng):
+        # subnormal entries, whose halves round, next to entries whose sum
+        # overflows and entries 600 decades apart; the oracle rounds the
+        # exact (a_ij + a_ji)/2 once
+        n = 8
+        m = rng.integers(1, 2**45, (n, n)) * 2.0**-1074 * rng.choice([-1.0, 1.0], (n, n))
+        m[0, 1], m[1, 0] = 1.6e308, 1.7e308
+        m[2, 3], m[3, 2] = -1.5e308, -1.75e308
+        m[4, 5], m[5, 4] = 1e300, 3e-320
+        got = linalg.symmetric_part(m)
+        want = np.array([[float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(row, col)]
+                         for row, col in zip(m, m.T)])
+        assert np.array_equal(got, want)
+        with np.errstate(under="ignore"):
+            assert not np.array_equal(got, 0.5 * m + 0.5 * m.T)  # halving each rounds twice
 
 
 class TestSymmetrize:

@@ -10,6 +10,7 @@ from graphsimplex.config import DEFAULT
 from graphsimplex.errors import (
     AsymmetricError,
     DegenerateDistanceMatrixError,
+    GraphSimplexError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
     NonZeroDiagonalError,
@@ -22,8 +23,11 @@ from oracles import (
     Resistor,
     Series,
     complete_graph,
+    contract_corpus,
+    path_graph,
     random_graph,
     random_sp_network,
+    run_cli,
     sp_document,
     sp_resistance,
     sp_terminals,
@@ -470,6 +474,120 @@ class TestMetricScreen:
         got = resistance._pair_bounds(a.astype(float), 0)
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(got[off], want[off])
+
+
+def open_rows(monkeypatch):
+    """The ``rows`` argument of every ``_pair_bounds`` call check_metric
+    makes: the rows its O(n^2) bound leaves open for the float32 screen."""
+    calls = []
+    inner = resistance._pair_bounds
+    monkeypatch.setattr(resistance, "_pair_bounds",
+                        lambda m, e, rows=None: calls.append(rows.copy()) or inner(m, e, rows))
+    return calls
+
+
+def row_maxima_and_cut(d, mode):
+    """max over k outside {i, j} of the full tensor's deficit[i, j, k] for
+    each row (i, j) with j != i, and min(worst trivial deficit, slack)."""
+    m = np.sqrt(np.maximum(d, 0.0)) if mode == "sqrt" else d
+    slack = DEFAULT.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        deficit = m[:, None, :] - m[:, :, None] - m[None, :, :]
+    i, j, k = np.indices(deficit.shape)
+    trivial = (i == j) | (k == i) | (k == j)
+    cut = min(float(deficit[trivial].max()), slack)
+    deficit[trivial] = -np.inf
+    return deficit.max(axis=2), cut
+
+
+def certificate_inputs(rng):
+    inputs = [understated_triangle()]
+    for n in (3, 4, 17, 40, 130):
+        inputs += metric_inputs(n, rng)
+    return inputs + [np.ldexp(d, power) for d in inputs for power in (-1000, 1000)]
+
+
+class TestMetricCertificate:
+    """check_metric's O(n^2) bound closes rows before the float32 screen; a
+    closed row is neither screened nor rechecked, so it must hold no
+    deficit at the cut, and the report stays the full tensor's."""
+
+    def test_closed_rows_hold_no_deficit_at_the_cut(self, rng, monkeypatch):
+        calls = open_rows(monkeypatch)
+        closed_somewhere = 0
+        for d in certificate_inputs(rng):
+            for mode in ("plain", "sqrt"):
+                calls.clear()
+                gs.check_metric(d, mode)
+                (rows,) = calls
+                closed = ~rows & ~np.eye(len(d), dtype=bool)
+                maxima, cut = row_maxima_and_cut(d, mode)
+                assert (maxima[closed] < cut).all()
+                closed_somewhere += int(closed.any())
+        assert closed_somewhere >= 10  # the bound closes rows on most inputs
+
+    def test_row_just_below_the_cut_stays_open(self, monkeypatch):
+        # collinear points: the triple (0, 1, 3) is tight until d03 drops
+        # by 2^-40, so row (0, 1) peaks 2^-40 below the trivial maximum 0
+        x = np.array([0.25, 0.5, 0.0, 0.75])
+        d = np.abs(x[:, None] - x[None, :])
+        d[0, 3] = d[3, 0] = 0.5 - 2.0**-40
+        maxima, cut = row_maxima_and_cut(d, "plain")
+        assert cut == 0.0 and maxima[0, 1] == -(2.0**-40)
+        calls = open_rows(monkeypatch)
+        assert_matches_full_tensor(d, "plain")  # (2, 0, 3) now fails by 2^-40
+        assert calls[0][0, 1]
+
+    def test_every_corpus_resistance_matrix(self):
+        answered = 0
+        for text, _ in contract_corpus(0):
+            try:
+                omega = gs.resistance_matrix(gs.build_laplacian(gs.parse_graph(text)))
+            except GraphSimplexError:
+                continue
+            answered += 1
+            for mode in ("plain", "sqrt"):
+                gs.check_metric(omega, mode)  # without a RuntimeWarning
+                with np.errstate(over="ignore"):  # for the n^3 reference
+                    assert_matches_full_tensor(omega, mode)
+        assert answered >= 100
+
+    def test_no_tile_on_a_bench_resistance_matrix(self, monkeypatch):
+        omega = gs.resistance_matrix(gs.build_laplacian(sized_graph(7, 0, 200)))
+        calls = open_rows(monkeypatch)
+        assert gs.check_metric(omega, "sqrt").passed
+        (rows,) = calls
+        assert not rows.any()  # no row to screen: _pair_bounds forms no tile
+
+    def test_tight_metric_screens_almost_every_row(self, monkeypatch):
+        n = 200
+        omega = gs.resistance_matrix(gs.build_laplacian(path_graph(n)))
+        calls = open_rows(monkeypatch)
+        assert gs.check_metric(omega, "plain").passed
+        (rows,) = calls
+        assert rows.sum() >= 0.99 * n * (n - 1)
+
+
+class TestDeficitOverflow:
+    """omega(a, c) = 1.625e308 is finite, but (m_ik - m_ij) - m_jk is not:
+    it overflows to -inf, the sign of the exact deficit, without a
+    RuntimeWarning (pytest makes one an error)."""
+
+    TEXT = "a b 1e-308\nb c 1.6e-308\n"
+
+    def test_library(self):
+        omega = gs.resistance_matrix(laplacian(self.TEXT))
+        assert np.isfinite(omega).all() and omega.max() > 1.6e308
+        for mode in ("plain", "sqrt"):
+            report = gs.check_metric(omega, mode)
+            assert report.passed and report.violations == 0
+            with np.errstate(over="ignore"):  # for the n^3 reference
+                assert_matches_full_tensor(omega, mode)
+
+    def test_cli(self):
+        for argv, line in ((["metric-check", "-"], "0 violations (mode plain)"),
+                           (["metric-check", "--sqrt", "-"], "0 violations (mode sqrt)")):
+            assert run_cli(argv, self.TEXT) == (0, line + "\n")
 
 
 class TestSymmetricBlocks:

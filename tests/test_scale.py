@@ -2,8 +2,8 @@
 
 Every weight is multiplied by 10^k, k from -250 to 250, on small connected
 graphs and on the n = 200 benchmark fixture: Q^dagger stays a
-pseudoinverse, resistances scale as 1/s, and neither the angle codes nor
-the validation verdicts change. Multiplied by 4^k instead, every
+pseudoinverse, resistances scale as 1/s, and neither the angle codes, the
+validation verdicts nor the metric verdicts on the resistances change. Multiplied by 4^k instead, every
 Laplacian-side answer scales by an exact power of two, bitwise, and so does
 every Gram-side answer when a kernel-u matrix is multiplied by 4^k.
 ``canonical_gram`` answers wherever its pair fits the float range and
@@ -77,6 +77,16 @@ def test_validation_verdicts_do_not_change(graphs, k):
     ]
     for m in specimens:
         assert verdicts(gs.validate_laplacian(10.0**k * m)) == verdicts(gs.validate_laplacian(m))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_metric_verdicts_do_not_change(graphs, k):
+    for g in graphs:
+        want = gs.resistance_matrix(gs.build_laplacian(g))
+        got = gs.resistance_matrix(gs.build_laplacian(scaled(g, k)))
+        for mode in ("plain", "sqrt"):
+            a, b = gs.check_metric(got, mode), gs.check_metric(want, mode)
+            assert (a.passed, a.violations) == (b.passed, b.violations)
 
 
 def test_tree_count_of_the_n1000_fixture_raises():
