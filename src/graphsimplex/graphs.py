@@ -162,27 +162,44 @@ def parse_graph(text: str) -> WeightedGraph:
 
 class LaplacianMatrix:
     """An n x n Laplacian with a cached symmetric part, grounded factor,
-    pseudoinverse and eigendecomposition, all held as read-only arrays, one
-    cached ``ValidationReport`` per ``Tolerances``, and its most recent Kron
-    reduction (``schur.schur_complement``), keyed by the kept nodes in
-    order. One certified grounded Cholesky factor of the symmetric part
-    (``linalg.grounded_factor``) serves validation's spectral verdicts, the
-    pseudoinverse, the embedding and the tree count; where its screen
-    declines, one exactly scaled ``eigh`` serves them instead.
+    pseudoinverse, resistance matrix and eigendecomposition, all held as
+    read-only arrays, one cached ``ValidationReport`` per ``Tolerances``,
+    and its most recent Kron reduction (``schur.schur_complement``), keyed
+    by the kept nodes in order. One certified grounded Cholesky factor of
+    the symmetric part (``linalg.grounded_factor``) serves validation's
+    spectral verdicts, the pseudoinverse, the embedding and the tree count;
+    where its screen declines, one exactly scaled ``eigh`` serves them
+    instead.
 
     Constructed from any non-empty square array of finite entries
-    (``linalg.as_square_array``), unvalidated, by trusted code paths
-    (``build_laplacian``, Schur reductions); use ``from_matrix`` to
-    validate arbitrary input.
+    (``linalg.as_square_array``), copied and unvalidated; use
+    ``from_matrix`` to validate arbitrary input.
     """
 
     def __init__(self, matrix: np.ndarray):
-        m = np.array(linalg.as_square_array(matrix))
+        self._hold(np.array(linalg.as_square_array(matrix)))
+
+    def _hold(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         self.matrix = m
         self.n = m.shape[0]
         self._reports: dict[Tolerances, ValidationReport] = {}
         self._reduction: tuple[tuple[int, ...], LaplacianMatrix] | None = None
+
+    @classmethod
+    def _built(cls, m: np.ndarray) -> "LaplacianMatrix":
+        """Around ``m`` itself, not a copy: an exactly symmetric array the
+        library has just built, so ``symmetric`` is ``matrix`` with no
+        transpose test. Only the diagonal is tested for finiteness. That
+        suffices for ``build_laplacian``, whose weights are finite, and for
+        the Kron reductions, whose diagonal entries are the negated sums of
+        their rows, which any infinite or NaN entry makes non-finite."""
+        if not np.isfinite(np.diag(m)).all():
+            raise NonFiniteEntryError("matrix contains non-finite entries")
+        q = cls.__new__(cls)
+        q._hold(m)
+        q.__dict__["symmetric"] = m  # the cached_property's value
+        return q
 
     @classmethod
     def from_matrix(cls, matrix, tol: Tolerances = DEFAULT) -> "LaplacianMatrix":
@@ -209,7 +226,7 @@ class LaplacianMatrix:
         its screen declines and the spectrum answers instead."""
         f = linalg.grounded_factor(self.symmetric)
         if f is not None:
-            for a in (f.pivots, f.frame, f.pinv):
+            for a in (f.pivots, f.pinv):
                 a.setflags(write=False)
         return f
 
@@ -222,6 +239,13 @@ class LaplacianMatrix:
         p = linalg.deflated_inverse(self.spectrum, -1)
         p.setflags(write=False)
         return p
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The resistance matrix, ``linalg.squared_distances(pinv)``."""
+        w = linalg.squared_distances(self.pinv)
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def _scaled(self) -> tuple[int, linalg.EigenDecomposition]:
@@ -346,7 +370,8 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         with np.errstate(over="ignore"):
             return float(np.ldexp(x, e))
 
-    sym_err = float(np.abs(scaled - scaled.T).max())
+    # a matrix that is its own symmetric part is exactly symmetric
+    sym_err = 0.0 if q.symmetric is m else float(np.abs(scaled - scaled.T).max())
     checks["symmetric"] = PropertyCheck(
         "symmetric", sym_err <= atol_scaled, f"max |A - A^T| = {units(sym_err):.3e}"
     )
@@ -366,9 +391,13 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         f"max |row sum| = {units(row_err):.3e}, max |col sum| = {units(col_err):.3e}",
     )
 
+    # the support |a_ij| > atol; no entry lies above atol where the sign
+    # check passed
+    support = off < -atol
+    if worst_off > atol:
+        support |= off > atol
     checks["irreducible"] = PropertyCheck(
-        "irreducible", _connected(n, *np.nonzero(np.abs(off) > atol)),
-        "BFS over off-diagonal support"
+        "irreducible", _connected(n, *np.nonzero(support)), "BFS over off-diagonal support"
     )
 
     if q.factor is not None:
@@ -393,7 +422,8 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         )
     # kernel contains the constant vector iff row sums vanish on the
     # symmetrized matrix, scaled as the eigh's is
-    ker_err = float(np.abs(np.ldexp(q.symmetric, -e) @ np.ones(n)).max())
+    sym_scaled = scaled if q.symmetric is m else np.ldexp(q.symmetric, -e)
+    ker_err = float(np.abs(sym_scaled @ np.ones(n)).max())
     checks["constant_kernel"] = PropertyCheck(
         "constant_kernel", ker_err <= atol_scaled, f"|A u|_inf = {units(ker_err):.3e}"
     )
@@ -419,7 +449,7 @@ def build_laplacian(g: WeightedGraph) -> LaplacianMatrix:
     q[i, j] = -w
     q[j, i] = -w
     np.fill_diagonal(q, d)
-    return LaplacianMatrix(q)
+    return LaplacianMatrix._built(q)
 
 
 def laplacian_pseudoinverse(q) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +63,12 @@ def is_asymmetric(m: np.ndarray) -> bool:
     """Whether |M - M^T| > _SYMMETRY_RTOL max|M|, at any scale. The rule is
     tested on 2^-e M (``exponent``), so the difference cannot overflow."""
     s = np.ldexp(m, -exponent(m))
-    return bool(np.abs(s - s.T).max() > _SYMMETRY_RTOL * np.abs(s).max())
+    return is_asymmetric_scaled(s, np.abs(s).max())
+
+
+def is_asymmetric_scaled(s: np.ndarray, top: float) -> bool:
+    """``is_asymmetric`` of M, given S = 2^-e M and ``top``, max|S|."""
+    return bool(np.abs(s - s.T).max() > _SYMMETRY_RTOL * top)
 
 
 def symmetrize(a) -> np.ndarray:
@@ -126,15 +132,22 @@ def lower_solve(ell: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     NumPy has no triangular solve, and ``np.linalg.solve`` factors its
     matrix by a pivoted LU; here that runs only on diagonal leaves of at
-    most ``_LEAF`` rows, and everything else is one GEMM per level.
+    most ``_LEAF`` rows, and everything else is one GEMM per level. Each
+    half is written into its rows of the one result array.
     """
+    x = np.empty(np.shape(b))
+    _lower_solve_into(ell, b, x)
+    return x
+
+
+def _lower_solve_into(ell: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
     k = ell.shape[0]
     if k <= _LEAF:
-        return np.linalg.solve(ell, b)
+        x[...] = np.linalg.solve(ell, b)
+        return
     h = k // 2
-    x1 = lower_solve(ell[:h, :h], b[:h])
-    x2 = lower_solve(ell[h:, h:], b[h:] - ell[h:, :h] @ x1)
-    return np.concatenate((x1, x2))
+    _lower_solve_into(ell[:h, :h], b[:h], x[:h])
+    _lower_solve_into(ell[h:, h:], b[h:] - ell[h:, :h] @ x[:h], x[h:])
 
 
 def lower_inverse(ell: np.ndarray) -> np.ndarray:
@@ -144,26 +157,56 @@ def lower_inverse(ell: np.ndarray) -> np.ndarray:
     As in ``lower_solve``, a factor of at most ``_LEAF`` rows goes to one
     ``np.linalg.solve`` against the identity, and everything else is GEMM.
     """
+    w = np.zeros_like(ell)
+    _lower_inverse_into(ell, w)
+    return w
+
+
+def _lower_inverse_into(ell: np.ndarray, w: np.ndarray) -> None:
+    """``lower_inverse(ell)`` written into ``w``, zero above its diagonal,
+    which may be a view into a larger array."""
     k = ell.shape[0]
     if k <= _LEAF:
-        return np.linalg.solve(ell, np.eye(k))
+        w[...] = np.linalg.solve(ell, np.eye(k))
+        return
     h = k // 2
-    w = np.zeros_like(ell)
-    w[:h, :h] = lower_inverse(ell[:h, :h])
-    w[h:, h:] = lower_inverse(ell[h:, h:])
+    _lower_inverse_into(ell[:h, :h], w[:h, :h])
+    _lower_inverse_into(ell[h:, h:], w[h:, h:])
     np.matmul(w[h:, h:], -(ell[h:, :h] @ w[:h, :h]), out=w[h:, :h])
-    return w
+
+
+# Rows per block of ``principal_submatrix``: a block's rows, gathered whole,
+# stay in L2 while its columns are taken from them.
+_GATHER_ROWS = 32
+
+
+def principal_submatrix(m: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """``m[np.ix_(idx, idx)]`` as a new C-ordered array, for indices the
+    caller has checked to lie in range: a block of whole rows at a time,
+    then its columns straight into the result, so no second array of the
+    result's size is made."""
+    idx = np.asarray(idx, dtype=np.intp)
+    out = np.empty((idx.size, idx.size), dtype=m.dtype)
+    for r0 in range(0, idx.size, _GATHER_ROWS):
+        block = m[idx[r0:r0 + _GATHER_ROWS]]
+        np.take(block, idx, axis=1, out=out[r0:r0 + block.shape[0]], mode="clip")
+    return out
 
 
 def double_center(m: np.ndarray) -> np.ndarray:
     """J M J with J = I - uu^T/n, for the symmetric part of M, in O(n^2):
     subtract the row means from the rows and from the columns and add
     back the grand mean. The result is exactly symmetric."""
-    out = symmetric_part(m)
-    means = out.mean(axis=1)
-    out -= np.add.outer(means, means)
-    out += means.mean()
-    return out
+    return double_center_in_place(symmetric_part(m))
+
+
+def double_center_in_place(m: np.ndarray) -> np.ndarray:
+    """``double_center`` of an exactly symmetric, finite M, written over M
+    and returned: ``symmetric_part`` of such an M is a bitwise copy."""
+    means = m.mean(axis=1)
+    m -= np.add.outer(means, means)
+    m += means.mean()
+    return m
 
 
 @dataclass(frozen=True)
@@ -206,21 +249,47 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
 class GroundedFactor:
     """The certified grounded factor of a symmetric n x n matrix M with
     kernel span{u}: L L^T = 2^-e M without its last row and column, e even.
 
-    With V = [L^{-1}, 0] J, J = I - uu^T/n, 2^-e V^T V is M^dagger, held as
-    ``pinv``, and ``frame``, V 2^(-e/2), is a vertex matrix of M's simplex
-    in that factor's frame (Fiedler); ``pivots``, L's squared diagonal
-    times 2^e, are the pivots of eliminating all of M's nodes but the last,
+    With V = [L^{-1}, 0] J, J = I - uu^T/n, and the unit frame U = 2^-k V,
+    k = ``exponent(V)``: ``pinv``, 2^(2k-e) U^T U by one SYRK, is
+    M^dagger, and ``frame``, 2^(k-e/2) U = 2^(-e/2) V, is a vertex matrix
+    of M's simplex in that factor's frame (Fiedler), so ``pinv`` is the
+    frame's Gram, 4^(k-e/2) U^T U. ``pivots``, L's squared diagonal times
+    2^e, are the pivots of eliminating all of M's nodes but the last,
     whose product is the determinant of M without its last node.
     """
 
-    pivots: np.ndarray
-    frame: np.ndarray
-    pinv: np.ndarray
+    def __init__(self, pivots: np.ndarray, unit: np.ndarray, shift: int,
+                 pinv: np.ndarray):
+        self.pivots, self.pinv = pivots, pinv
+        self._unit, self._shift = unit, shift  # frame = 2^shift U
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """2^(k-e/2) U, read-only, scaled in place on first use: the factor
+        holds one (n-1) x n array, and a caller that reads only ``pinv``
+        scales none."""
+        frame = self._unit
+        if self._shift:
+            np.ldexp(frame, self._shift, out=frame)
+        frame.setflags(write=False)
+        return frame
+
+    @cached_property
+    def frame_gram(self) -> np.ndarray | None:
+        """``pinv`` where ``frame`` and it are U and U^T U scaled exactly,
+        so that 2^-exponent(frame) frame is U and 4^-exponent(frame) pinv
+        the U^T U that ``canonical_gram`` would form: a scale-up
+        (k >= e/2) always is exact, and a scale-down where no entry of
+        either lands below the normal range. None anywhere else."""
+        tiny = np.finfo(float).tiny
+        if self._shift >= 0 or (np.abs(self.frame).min() >= tiny
+                                and np.abs(self.pinv).min() >= tiny):
+            return self.pinv
+        return None
 
 
 def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
@@ -251,6 +320,8 @@ def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
     exactly the one zero, resolve the rest, and answer M^dagger. For any
     symmetric M with kernel span{u} and a nonsingular S_g, M^dagger is
     J [[S_g^{-1}, 0], [0, 0]] J 2^-e = V^T V 2^-e, up to the same errors.
+    It is formed as 2^(2k-e) U^T U, which is bitwise 2^-e V^T V wherever
+    U = 2^-k V scales V and its products exactly, as on every Laplacian.
     """
     n = m.shape[0]
     t = DEFAULT.zero_eigenvalue
@@ -273,22 +344,25 @@ def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
             return None
         del s
         pivots = np.ldexp(np.square(np.diag(ell)), e)
-        w = lower_inverse(ell)
+        v = np.zeros((n - 1, n))
+        _lower_inverse_into(ell, v[:, :-1])  # [W, 0]
         del ell
-        a = np.abs(w)
+        a = np.abs(v[:, :-1])
         if not norm * float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()) <= 0.25 / t:
             return None
         del a
-        v = np.zeros((n - 1, n))
-        v[:, :-1] = w
-        del w
         v -= v.sum(axis=1, keepdims=True) / n  # [W, 0] J
+        k = exponent(v)
+        if k:
+            np.ldexp(v, -k, out=v)  # U, the frame canonical_gram would scale to
         p = v.T @ v  # one SYRK, exactly symmetric
-        np.ldexp(p, -e, out=p)
-        np.ldexp(v, -(e // 2), out=v)
-    if not np.isfinite(p).all():
+        if 2 * k != e:
+            np.ldexp(p, 2 * k - e, out=p)
+    # U's entries lie in (-1, 1), so those of U^T U, sums of n - 1 products,
+    # below n - 1: p is finite wherever 2^(2k-e) (n - 1) is
+    if 2 * k - e + (n - 1).bit_length() > 1023 and not np.isfinite(p).all():
         return None
-    return GroundedFactor(pivots=pivots, frame=v, pinv=p)
+    return GroundedFactor(pivots, v, k - e // 2, p)
 
 
 def pinv_kernel_u(a) -> np.ndarray:
@@ -300,7 +374,13 @@ def pinv_kernel_u(a) -> np.ndarray:
     found by eigendecomposition, is deflated, and any further (relative)
     zero eigenvalue raises ``RankDeficientError``.
     """
-    m = symmetrize(a)
+    return pinv_kernel_u_symmetric(symmetrize(a))
+
+
+def pinv_kernel_u_symmetric(m: np.ndarray) -> np.ndarray:
+    """``pinv_kernel_u`` of an exactly symmetric ``m`` the library built,
+    on which ``symmetrize`` would return ``m`` itself: unchecked. A
+    non-finite entry fails the factor's bounds, and ``eigh`` refuses it."""
     f = grounded_factor(m)
     if f is not None:
         return f.pinv

@@ -38,12 +38,13 @@ def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
     i, j = linalg.as_index(i), linalg.as_index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"indices ({i}, {j}) out of range for n={n}")
-    return float(linalg.squared_distances(q.pinv[np.ix_((i, j), (i, j))])[0, 1])
+    return float(linalg.squared_distances(linalg.principal_submatrix(q.pinv, (i, j)))[0, 1])
 
 
 def resistance_matrix(q: LaplacianMatrix) -> np.ndarray:
-    """Omega = zeta u^T + u zeta^T - 2 Q^dagger with zeta = diag(Q^dagger)."""
-    return linalg.squared_distances(q.pinv)
+    """Omega = zeta u^T + u zeta^T - 2 Q^dagger with zeta = diag(Q^dagger):
+    the read-only array ``q.omega``, formed once per Laplacian."""
+    return q.omega
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,18 @@ class IdentityResidual:
 def _identity_residual(omega: np.ndarray, gram_inverse: np.ndarray,
                        r: np.ndarray, radius: float) -> IdentityResidual:
     """One product A @ B, for exactly symmetric ``omega`` and
-    ``gram_inverse``: then A and B are symmetric too."""
+    ``gram_inverse``: then A and B are symmetric too. Each block is written
+    into its place, and -1/2 x is exact."""
     n = omega.shape[0]
-    u = np.ones((n, 1))
-    a = -0.5 * np.block([[np.zeros((1, 1)), u.T], [u, omega]])
-    b = np.block([[np.full((1, 1), 4.0 * radius**2), -2.0 * r[None, :]],
-                  [-2.0 * r[:, None], gram_inverse]])
+    a = np.empty((n + 1, n + 1))
+    a[0, 0] = -0.5 * 0.0
+    a[0, 1:] = a[1:, 0] = -0.5
+    np.multiply(omega, -0.5, out=a[1:, 1:])
+    b = np.empty((n + 1, n + 1))
+    b[0, 0] = 4.0 * radius**2
+    np.multiply(r, -2.0, out=b[0, 1:])
+    b[1:, 0] = b[0, 1:]
+    b[1:, 1:] = gram_inverse
     residual = _max_abs_minus_identity(a @ b)
     return IdentityResidual(residual_ab=residual, residual_ba=residual)
 
@@ -106,7 +113,7 @@ def _max_abs_minus_identity(x: np.ndarray) -> float:
 
 def verify_fiedler_identity(q: LaplacianMatrix) -> IdentityResidual:
     fb = fiedler_blocks(q)
-    return _identity_residual(resistance_matrix(q), q.symmetric, fb.r, fb.radius)
+    return _identity_residual(q.omega, q.symmetric, fb.r, fb.radius)
 
 
 def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
@@ -135,7 +142,11 @@ def verify_identity_general(pinv_gram, distances=None) -> IdentityResidual:
 def inverse_resistance_matrix(q: LaplacianMatrix) -> np.ndarray:
     """Omega^{-1} = -1/2 (Q - r r^T / R^2), read off the block identity."""
     fb = fiedler_blocks(q)
-    return -0.5 * (q.symmetric - np.outer(fb.r, fb.r) / fb.radius**2)
+    out = np.outer(fb.r, fb.r)
+    out /= fb.radius**2
+    np.subtract(q.symmetric, out, out=out)
+    out *= -0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,10 +165,11 @@ class MetricReport:
         return self.positive_offdiag and self.violations == 0
 
 
-def check_zero_diagonal(d: np.ndarray) -> None:
+def check_zero_diagonal(d: np.ndarray, top: float) -> None:
     """Require the zero diagonal of a distance matrix up to the metric
-    slack, |d_ii| <= metric_slack max|D|; NonZeroDiagonalError otherwise."""
-    scale = max(float(np.abs(d).max()), np.finfo(float).tiny)
+    slack, |d_ii| <= metric_slack max(max|D|, tiny), given ``top``, max|D|;
+    NonZeroDiagonalError otherwise."""
+    scale = max(top, np.finfo(float).tiny)
     if np.abs(np.diag(d)).max() > DEFAULT.metric_slack * scale:
         raise NonZeroDiagonalError("distance matrix has a nonzero diagonal")
 
@@ -182,12 +194,18 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
         raise ValueError(f"unknown mode {mode!r}")
     m = linalg.as_square_array(d)
     n = m.shape[0]
-    check_zero_diagonal(m)
-    if linalg.is_asymmetric(m):
+    top = max(float(m.max()), -float(m.min()))  # max|m|
+    check_zero_diagonal(m, top)
+    e = int(np.frexp(top)[1])  # linalg.exponent(m)
+    s = np.ldexp(m, -e)
+    if linalg.is_asymmetric_scaled(s, np.ldexp(top, -e)):
         raise AsymmetricError("distance matrix is not symmetric")
     if mode == "sqrt":
         m = np.sqrt(np.maximum(m, 0.0))
-    positive_offdiag = bool(n < 2 or (m + np.diag(np.full(n, np.inf))).min() > 0.0)
+        e = int(np.frexp(m.max())[1])  # m >= 0
+        s = np.ldexp(m, -e)
+    # every entry <= 0 lies on the diagonal
+    positive_offdiag = bool(np.count_nonzero(m <= 0.0) == np.count_nonzero(np.diag(m) <= 0.0))
 
     slack = DEFAULT.metric_slack * max(float(m.max(initial=0.0)), np.finfo(float).tiny)
     # deficit[i, j, k] = (m_ik - m_ij) - m_jk over all ordered triples, in
@@ -218,8 +236,6 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
     #   subnormal, or an s that underflowed, by less) and the float32
     #   subtraction by 2^-24 |a_ik - a_jk| <= 2^-23.
     if n >= 3:  # otherwise every triple is trivial
-        e = linalg.exponent(m)
-        s = np.ldexp(m, -e)
         bound = _mean_bounds(s)
         s += np.ldexp(min(worst, slack), -e) - 2.0**-20  # s_ij + cut
         open_rows = bound >= s

@@ -61,7 +61,7 @@ def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
     factorization failure signals inconsistent input, not a tolerance issue.
     """
     perm = keep + list(order)
-    buf = q.symmetric[np.ix_(perm, perm)]
+    buf = linalg.principal_submatrix(q.symmetric, perm)
     k = len(keep)
     core = buf[:k, :k]
     if k < len(perm):
@@ -76,6 +76,15 @@ def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
         core -= x.T @ x
         _canonicalize_in_place(core)
     return core
+
+
+def _reduction(core: np.ndarray) -> LaplacianMatrix:
+    """The reduced Laplacian around ``_eliminate_in_order``'s result,
+    copied out of the larger permuted buffer it is a view of, which is
+    then not kept."""
+    if core.base is not None and core.base.size > core.size:
+        core = core.copy()
+    return LaplacianMatrix._built(core)
 
 
 def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
@@ -94,7 +103,7 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix
         return q._reduction[1]
     kept = set(idx)
     complement = [i for i in range(q.n) if i not in kept]
-    reduced = LaplacianMatrix(_eliminate_in_order(q, idx, complement))
+    reduced = _reduction(_eliminate_in_order(q, idx, complement))
     q._reduction = (key, reduced)
     return reduced
 
@@ -108,7 +117,7 @@ def kron_reduce_single(q: LaplacianMatrix, node: int) -> LaplacianMatrix:
         raise TooSmallError("single-node elimination needs n >= 3")
     node, = linalg.check_subset([node], q.n)
     others = [i for i in range(q.n) if i != node]
-    return LaplacianMatrix(_eliminate_in_order(q, others, [node]))
+    return _reduction(_eliminate_in_order(q, others, [node]))
 
 
 def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
@@ -116,7 +125,7 @@ def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
     Q^dagger, the Gram matrix of the face on V, so the reduction is that
     face's pseudoinverse Gram."""
     face = face_gram(gram_pair_from_laplacian(q), keep)
-    return LaplacianMatrix(_canonicalize(face.pinv_gram))
+    return LaplacianMatrix._built(_canonicalize(face.pinv_gram))
 
 
 @dataclass(frozen=True)
@@ -193,7 +202,7 @@ def check_resistance_preservation(q: LaplacianMatrix,
         raise FaceTooSmallError("need at least 2 kept nodes")
     reduced = schur_complement(q, idx)
     omega_reduced = resistance_matrix(reduced)
-    omega_restricted = linalg.squared_distances(q.pinv[np.ix_(idx, idx)])
+    omega_restricted = linalg.squared_distances(linalg.principal_submatrix(q.pinv, idx))
     return PreservationReport(
         residual=float(np.abs(omega_reduced - omega_restricted).max())
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -36,15 +36,39 @@ from .resistance import FiedlerBlocks, check_zero_diagonal
 
 @dataclass(frozen=True)
 class SimplexEmbedding:
-    """Centered vertex matrix, one column per vertex, (n-1) coordinates."""
+    """Centered vertex matrix, one column per vertex, (n-1) coordinates.
+
+    ``gram``, which equality and repr ignore, is None or the read-only
+    Gram matrix S^T S, formed as 4^e U^T U with U = 2^-e S, e the binary
+    exponent of max|S|, and both scalings exact: 4^-e ``gram`` is then
+    the U^T U that ``canonical_gram`` would form. ``embed_from_laplacian``
+    passes Q^dagger, which its grounded factor formed so, and neither
+    ``canonical_gram`` nor ``squared_distances`` forms it again.
+    """
 
     vertices: np.ndarray
+    gram: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def squared_distances(self) -> np.ndarray:
         """NonFiniteEntryError when a distance overflows, as the vertices of
-        a graph with weights near 1e-320 can."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.vertices.T @ self.vertices
+        a graph with weights near 1e-320 can.
+
+        S^T S is ``gram`` where that is bitwise the product of S itself:
+        where every entry of S and of U is at least 2^-485 in magnitude,
+        each product in either SYRK is a normal number and each sum is
+        rounded alike or exact, and where 2^(2e) (n-1) is below 2^1023,
+        none overflows. It is formed anywhere else."""
+        s, gram = self.vertices, self.gram
+        if gram is not None and s.size:
+            a = np.abs(s)
+            e = int(np.frexp(a.max())[1])
+            if not (a.min() >= 2.0 ** (max(e, 0) - 485)
+                    and 2 * e + s.shape[0].bit_length() <= 1023):
+                gram = None
+            del a
+        if gram is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = s.T @ s
         return linalg.squared_distances(gram)
 
 
@@ -75,7 +99,7 @@ def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     """
     f = q.factor
     if f is not None:
-        return SimplexEmbedding(vertices=f.frame)
+        return SimplexEmbedding(vertices=f.frame, gram=f.frame_gram)
     dec = q.spectrum
     mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
     z = dec.eigenvectors[:, :-1]
@@ -91,35 +115,45 @@ def canonical_gram(vertices) -> GramPair:
     The pair is formed for 2^-e S, e the binary exponent of max|S|, and
     scaled back by exact powers of two, so vertices times 2^k give the
     pair times 4^k and 4^-k, bit for bit; NonFiniteEntryError where either
-    Gram leaves the float range."""
+    Gram leaves the float range. The Gram of 2^-e S is 4^-e times a
+    ``SimplexEmbedding``'s ``gram`` where it holds one."""
     s = np.asarray(getattr(vertices, "vertices", vertices), dtype=float)
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
-    if not np.isfinite(s).all():
-        raise NonFiniteEntryError("vertex matrix contains non-finite entries")
-    e = linalg.exponent(s) if s.size else 0
-    unit = np.ldexp(s, -e)
-    gram = unit.T @ unit
-    del unit
+    e = 0
+    if s.size:  # a NaN or infinite entry makes the max or the min so
+        hi, lo = float(s.max()), float(s.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise NonFiniteEntryError("vertex matrix contains non-finite entries")
+        e = int(np.frexp(max(hi, -lo))[1])  # linalg.exponent(s)
+    gram = vertices.gram if isinstance(vertices, SimplexEmbedding) else None
+    if gram is not None:
+        gram = np.ldexp(gram, -2 * e)  # a new array, centred in place below
+    else:
+        unit = np.ldexp(s, -e)
+        gram = unit.T @ unit
+        del unit
     try:
         pair = _centered_pair(gram)
     except GraphSimplexError as exc:
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (rank < {s.shape[1] - 1})"
         ) from exc
-    with np.errstate(over="ignore"):
-        np.ldexp(pair.gram, 2 * e, out=pair.gram)
-        np.ldexp(pair.pinv_gram, -2 * e, out=pair.pinv_gram)
-    if not (np.isfinite(pair.gram).all() and np.isfinite(pair.pinv_gram).all()):
-        raise NonFiniteEntryError("the Gram pair leaves the float range")
+    if e:  # the unit pair is finite; scaled back, it may overflow
+        with np.errstate(over="ignore"):
+            np.ldexp(pair.gram, 2 * e, out=pair.gram)
+            np.ldexp(pair.pinv_gram, -2 * e, out=pair.pinv_gram)
+        if not (np.isfinite(pair.gram).all() and np.isfinite(pair.pinv_gram).all()):
+            raise NonFiniteEntryError("the Gram pair leaves the float range")
     return pair
 
 
 def _centered_pair(gram: np.ndarray) -> GramPair:
     """Canonical Gram pair of the points with (uncentered) Gram matrix
-    ``gram``: the double-centered Gram and its pseudoinverse."""
-    m = linalg.double_center(gram)
-    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m))
+    ``gram``, an exactly symmetric, finite array of the caller's own, which
+    is centred in place: the double-centered Gram and its pseudoinverse."""
+    m = linalg.double_center_in_place(gram)
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u_symmetric(m))
 
 
 def gram_pair_from_pinv(pinv_gram) -> GramPair:
@@ -286,16 +320,17 @@ def face_distance(d, v: Sequence[int]) -> np.ndarray:
     the corresponding submatrix, rows/columns in the order given."""
     m = linalg.as_square_array(d)
     idx = linalg.check_subset(v, m.shape[0])
-    return m[np.ix_(idx, idx)].copy()
+    return linalg.principal_submatrix(m, idx)
 
 
 def face_gram(gp: GramPair, v: Sequence[int]) -> GramPair:
     """Canonical Gram pair of the face on ``v``: the centered submatrix
-    of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v)."""
+    of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v), for the
+    exactly symmetric ``gp.gram`` of every GramPair the library builds."""
     idx = linalg.check_subset(v, gp.n)
     if len(idx) < 2:
         raise FaceTooSmallError("face Gram needs at least 2 vertices")
-    return _centered_pair(gp.gram[np.ix_(idx, idx)])
+    return _centered_pair(linalg.principal_submatrix(gp.gram, idx))
 
 
 @dataclass(frozen=True)
@@ -338,7 +373,8 @@ def cayley_menger_volume(d) -> float:
     requires (``resistance.check_zero_diagonal``).
     """
     m = linalg.symmetrize(d)
-    check_zero_diagonal(m)
+    top = float(np.abs(m).max())
+    check_zero_diagonal(m, top)
     n = m.shape[0]
     bordered = np.zeros((n + 1, n + 1))
     bordered[0, 1:] = 1.0
@@ -347,7 +383,7 @@ def cayley_menger_volume(d) -> float:
     sign, log_det = np.linalg.slogdet(bordered)
     sign *= (-1.0) ** n
     log_vol2 = log_det - (2.0 * math.lgamma(n) + (n - 1) * math.log(2.0))
-    log_scale = (n - 1) * math.log(max(float(np.abs(m).max()), np.finfo(float).tiny))
+    log_scale = (n - 1) * math.log(max(top, np.finfo(float).tiny))
     if sign <= 0.0 or log_vol2 <= math.log(1e-12) + log_scale:
         raise DegenerateDistanceMatrixError(
             f"squared volume {sign:+.0f} * exp({log_vol2:.6g}) is not above "

@@ -297,6 +297,13 @@ class TestLaplacianCaches:
             q.pinv[0, 0] += 1
         assert np.array_equal(gs.resistance_matrix(q), omega)
 
+    def test_resistance_matrix_is_cached_and_read_only(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=6))
+        omega = gs.resistance_matrix(q)
+        assert gs.resistance_matrix(q) is omega
+        with pytest.raises(ValueError):
+            omega[0, 1] = 1.0
+
     def test_spectrum_is_read_only(self, rng):
         q = gs.build_laplacian(random_graph(rng, n=6))
         with pytest.raises(ValueError):

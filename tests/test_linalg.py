@@ -367,6 +367,37 @@ def kernel_u_matrix(rng, eigenvalues):
     return linalg.symmetric_part((basis * eigenvalues) @ basis.T)
 
 
+class TestFrameGram:
+    """The factor hands its Q^dagger to the embedding as the frame's Gram
+    only where the frame and Q^dagger are its unit frame U and U^T U
+    scaled exactly."""
+
+    @staticmethod
+    def factor(unit, shift, pinv):
+        return linalg.GroundedFactor(np.ones(1), np.array(unit), shift, np.array(pinv))
+
+    def test_scaled_up(self):
+        f = self.factor([[0.5, 2.0**-1074]], 3, [[1.0, 2.0**-1074], [2.0**-1074, 1.0]])
+        assert np.array_equal(f.frame, [[4.0, 2.0**-1071]])
+        assert f.frame_gram is f.pinv
+
+    def test_scaled_down_in_the_normal_range(self):
+        f = self.factor([[0.5, 2.0**-900]], -30, [[1.0, 2.0**-900], [2.0**-900, 1.0]])
+        assert f.frame_gram is f.pinv
+
+    @pytest.mark.parametrize("unit, pinv", [
+        ([[0.5, 2.0**-1000]], [[1.0, 0.5], [0.5, 1.0]]),  # a subnormal frame entry
+        ([[0.5, 0.25]], [[1.0, 2.0**-1050], [2.0**-1050, 1.0]]),  # one of Q^dagger
+    ])
+    def test_scaled_below_the_normal_range(self, unit, pinv):
+        assert self.factor(unit, -30, pinv).frame_gram is None
+
+    def test_a_laplacian_embedding_carries_its_pinv(self, small_corpus):
+        for q in small_corpus:
+            assert q.factor.frame_gram is q.pinv
+            assert gs.embed_from_laplacian(q).gram is q.pinv
+
+
 class TestCholeskyScreen:
     def test_same_verdict_as_the_eigen_rule(self):
         # n 2-39, condition up to 1e13, scale 10^+-250; one in six has a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -14,14 +15,21 @@ from graphsimplex.errors import (
     DuplicateIndexError,
     EmptySubsetError,
     FaceTooSmallError,
+    GraphSimplexError,
     IndexOutOfRangeError,
     NonFiniteEntryError,
     NonZeroDiagonalError,
     RankDeficientError,
 )
 
-from conftest import connected_graphs
-from oracles import complete_graph, determinant_cofactor, path_graph, random_graph
+from conftest import connected_graphs, eigen_only, sized_graph
+from oracles import (
+    complete_graph,
+    contract_corpus,
+    determinant_cofactor,
+    path_graph,
+    random_graph,
+)
 
 NONHYPERACUTE = 9.0 * np.array(
     [[7, 1, -4, -4], [1, 7, -4, -4], [-4, -4, 12, -4], [-4, -4, -4, 12]], float
@@ -108,6 +116,97 @@ class TestCanonicalGram:
         s[1, 2] = bad
         with pytest.raises(NonFiniteEntryError, match="non-finite"):
             gs.canonical_gram(s)
+
+
+def gram_outcome(call):
+    """The bits of what ``call()`` returns (a GramPair or an array), or the
+    type and message of its error."""
+    try:
+        got = call()
+    except GraphSimplexError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, gs.GramPair):
+        return got.gram.tobytes(), got.pinv_gram.tobytes()
+    return got.tobytes()
+
+
+def weights_times(g, factor):
+    return gs.WeightedGraph(g.labels, g.links, tuple(w * factor for w in g.weights))
+
+
+class TestGramReuse:
+    """The embedding of a Laplacian carries the Gram its grounded factor
+    formed Q^dagger from, and canonical_gram and squared_distances read it
+    instead of forming it again: bit for bit the answers of the bare
+    vertex matrix."""
+
+    @staticmethod
+    def assert_reuse_is_invisible(q):
+        try:
+            emb = gs.embed_from_laplacian(q)
+        except GraphSimplexError:
+            return 0
+        bare = np.array(emb.vertices)
+        assert gram_outcome(lambda: gs.canonical_gram(emb)) == gram_outcome(
+            lambda: gs.canonical_gram(bare))
+        assert gram_outcome(emb.squared_distances) == gram_outcome(
+            gs.SimplexEmbedding(bare).squared_distances)
+        return emb.gram is not None
+
+    def test_contract_corpus(self):
+        # 107 of the 200 graphs embed: 82 on the grounded factor, and each
+        # of those carries its Gram; 25 on the eigen route, which has none
+        qs = [laplacian(text) for text, _ in contract_corpus(0)]
+        reused = sum(self.assert_reuse_is_invisible(q) for q in qs)
+        assert reused == sum(q.factor is not None for q in qs) == 82
+
+    @pytest.mark.parametrize("n", [3, 50, 1000])
+    def test_bench_graphs_at_extreme_scales(self, n):
+        for k in (0, 1):
+            g = sized_graph(7, k, n)
+            for factor in (1.0, 2.0**600, 2.0**-600, 1e300, 1e-300):
+                q = gs.build_laplacian(weights_times(g, factor))
+                assert self.assert_reuse_is_invisible(q) or factor != 1.0
+
+    def test_the_gram_field_is_read(self, rng):
+        # twice the Gram gives twice the centred Gram and half its inverse:
+        # only a Gram that was not formed again can
+        q = gs.build_laplacian(random_graph(rng, n=40))
+        emb = gs.embed_from_laplacian(q)
+        assert emb.gram is q.pinv
+        doubled = dataclasses.replace(emb, gram=2.0 * emb.gram)
+        want, got = gs.canonical_gram(emb), gs.canonical_gram(doubled)
+        assert np.array_equal(got.gram, 2.0 * want.gram)
+        assert np.abs(got.pinv_gram - 0.5 * want.pinv_gram).max() <= (
+            1e-12 * np.abs(want.pinv_gram).max())
+        assert np.array_equal(doubled.squared_distances(), 2.0 * emb.squared_distances())
+        assert np.array_equal(doubled.gram, 2.0 * emb.gram)  # centred on a copy
+
+    def test_distances_form_the_product_where_the_gram_rounds_apart(self):
+        # 2^-530 times 16385.625 2^-544 is 16385.625 units of 2^-1074: S^T S
+        # rounds it to 16386, while U = S/2 gives 4096.40625 units, rounded
+        # to 4096 and scaled back to 16384. Entries below 2^-485 keep the
+        # distances off such a Gram
+        s = np.array([[1.0, 2.0**-530, 16385.625 * 2.0**-544],
+                      [0.5, 2.0**-600, 2.0**-600]])
+        u = 0.5 * s
+        gram = np.ldexp(u.T @ u, 2)
+        assert not np.array_equal(gram, s.T @ s)
+        assert np.array_equal(gs.SimplexEmbedding(s, gram=gram).squared_distances(),
+                              gs.SimplexEmbedding(s).squared_distances())
+
+    def test_equality_and_repr_ignore_the_gram(self, rng):
+        emb = gs.embed_from_laplacian(gs.build_laplacian(random_graph(rng, n=5)))
+        bare = gs.SimplexEmbedding(emb.vertices)
+        assert emb == bare
+        assert repr(emb) == repr(bare)
+        assert "gram" not in repr(emb)
+
+    def test_no_gram_on_the_eigen_route(self, rng):
+        q = gs.build_laplacian(random_graph(rng, n=8))
+        with eigen_only():
+            emb = gs.embed_from_laplacian(q)
+        assert emb.gram is None
 
 
 def test_gram_pair_from_pinv_does_not_keep_the_callers_array():
