@@ -68,9 +68,11 @@ class NoConvergenceError(GraphSimplexError):
 
 
 class RankDeficientError(GraphSimplexError):
-    """Not exactly one zero eigenvalue where one was expected: several, none
-    ("found 0"), a numerically zero matrix, or a smallest nonzero Laplacian
-    eigenvalue at the rounding level (``LaplacianMatrix.spectrum``)."""
+    """Not exactly one zero eigenvalue where one was expected: on the Gram
+    side several, none ("found 0") or a numerically zero matrix; on the
+    Laplacian side, a grounded factor whose screen declines, as where the
+    weights span too many decades or leave the float range, or the kernel is
+    not the constant vector (``LaplacianMatrix.pinv``)."""
 
 
 # --- index subsets ---

@@ -161,15 +161,15 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 class LaplacianMatrix:
-    """An n x n Laplacian with a cached symmetric part, grounded factor,
-    pseudoinverse, resistance matrix and eigendecomposition, all held as
-    read-only arrays, one cached ``ValidationReport`` per ``Tolerances``,
-    and its most recent Kron reduction (``schur.schur_complement``), keyed
-    by the kept nodes in order. One certified grounded Cholesky factor of
-    the symmetric part (``linalg.grounded_factor``) serves validation's
-    spectral verdicts, the pseudoinverse, the embedding and the tree count;
-    where its screen declines, one exactly scaled ``eigh`` serves them
-    instead.
+    """An n x n Laplacian with a cached symmetric part, grounded factor and
+    resistance matrix, all held as read-only arrays, one cached
+    ``ValidationReport`` per ``Tolerances``, and its most recent Kron
+    reduction (``schur.schur_complement``), keyed by the kept nodes in
+    order. One certified grounded Cholesky factor of the symmetric part
+    (``linalg.grounded_factor``) serves validation's spectral verdicts, the
+    pseudoinverse, the embedding and the tree count; where its screen
+    declines, each of those answers raises RankDeficientError, and
+    validation reads the eigenvalues of one exactly scaled ``eigh``.
 
     Constructed from any non-empty square array of finite entries
     (``linalg.as_square_array``), copied and unvalidated; use
@@ -223,22 +223,29 @@ class LaplacianMatrix:
     @cached_property
     def factor(self) -> linalg.GroundedFactor | None:
         """``linalg.grounded_factor(symmetric)``, read-only, or None where
-        its screen declines and the spectrum answers instead."""
+        its screen declines."""
         f = linalg.grounded_factor(self.symmetric)
         if f is not None:
             for a in (f.pivots, f.pinv):
                 a.setflags(write=False)
         return f
 
-    @cached_property
+    def _certified(self) -> linalg.GroundedFactor:
+        """``factor``, or RankDeficientError where its screen declines."""
+        if self.factor is None:
+            raise RankDeficientError(
+                "Q^dagger is not resolvable in double precision: the weights span "
+                "too many decades or leave the float range, or the kernel is not "
+                "the constant vector")
+        return self.factor
+
+    @property
     def pinv(self) -> np.ndarray:
-        """Q^dagger = S^T S, the factor's, or read off ``spectrum`` without
-        its last pair."""
-        if self.factor is not None:
-            return self.factor.pinv
-        p = linalg.deflated_inverse(self.spectrum, -1)
-        p.setflags(write=False)
-        return p
+        """Q^dagger = S^T S, the certified factor's; RankDeficientError
+        where its screen declines, which it does where the weights span too
+        many decades for double precision or leave the float range, or where
+        the kernel is not the constant vector."""
+        return self._certified().pinv
 
     @cached_property
     def omega(self) -> np.ndarray:
@@ -248,43 +255,14 @@ class LaplacianMatrix:
         return w
 
     @cached_property
-    def _scaled(self) -> tuple[int, linalg.EigenDecomposition]:
-        """e = ``linalg.exponent(matrix)`` and the read-only ``linalg.eigh`` of
-        2^-e ``symmetric``, whose entries lie in (-1, 1), so that none of
-        its eigenvalues overflows; without the resolvability rule."""
+    def _scaled_eigenvalues(self) -> np.ndarray:
+        """The read-only eigenvalues of 2^-e ``symmetric``, descending, e =
+        ``linalg.exponent(matrix)``: its entries lie in (-1, 1), so that
+        none overflows. Validation reads them where the factor declines."""
         e = linalg.exponent(self.matrix)
-        dec = linalg.eigh(np.ldexp(self.symmetric, -e))
-        dec.eigenvalues.setflags(write=False)
-        dec.eigenvectors.setflags(write=False)
-        return e, dec
-
-    @cached_property
-    def spectrum(self) -> linalg.EigenDecomposition:
-        """Eigenpairs of the symmetric part (``from_matrix`` admits a small
-        asymmetry), descending with the zero last; shared by every caller.
-
-        Held to one resolvability rule: the smallest nonzero eigenvalue must
-        exceed n eps mu_max, the rounding level of one double-precision eigh,
-        or its inverse is noise; the product may underflow (weights near
-        1e-310) and pass. RankDeficientError where it refuses (weights
-        spanning ~19 decades or more) and NonFiniteEntryError where an
-        eigenvalue overflows, so where ``factor`` is None, ``pinv``, the
-        embedding and the tree count all raise; a refusal is not cached, but
-        asking again only re-applies the rule.
-        """
-        e, dec = self._scaled
-        with np.errstate(over="ignore"):
-            mu = np.ldexp(dec.eigenvalues, e)
-        if not np.isfinite(mu).all():
-            raise NonFiniteEntryError("an eigenvalue overflows the float range")
-        level = self.n * np.finfo(float).eps * mu[0]
-        if self.n > 1 and not mu[-2] > level:
-            raise RankDeficientError(
-                f"the smallest nonzero Laplacian eigenvalue, {mu[-2]:.3e}, is not above "
-                f"the rounding level {level:.3e}; the weights span too many decades "
-                "for one spectrum")
+        mu = linalg.eigh(np.ldexp(self.symmetric, -e)).eigenvalues
         mu.setflags(write=False)
-        return linalg.EigenDecomposition(mu, dec.eigenvectors)
+        return mu
 
     def __repr__(self):
         return f"LaplacianMatrix(n={self.n})"
@@ -340,9 +318,8 @@ def validate_laplacian(a, tol: Tolerances = DEFAULT) -> ValidationReport:
     checked once per ``Tolerances``: later calls return the report it
     keeps. Where the object's grounded factor is certified
     (``LaplacianMatrix.factor``), the positive semidefinite and single zero
-    eigenvalue checks pass, as the screen proves the eigen route would
-    find; otherwise they read the eigenvalues of the one scaled ``eigh``
-    its spectrum comes from.
+    eigenvalue checks pass, as the screen proves an eigendecomposition
+    would find; otherwise they read the eigenvalues of one scaled ``eigh``.
     """
     if not isinstance(a, LaplacianMatrix):
         a = LaplacianMatrix(a)
@@ -360,8 +337,8 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
     # Differences, sums and the spectrum are taken of m scaled by the exact
     # power of two 2^-e nearest its largest entry: none overflows for finite
     # m, and no normal-range verdict or detail changes. Details are reported
-    # in the input's units. q's scaled eigh, where one is needed, is of the
-    # same 2^-e m.
+    # in the input's units. q's scaled eigenvalues, where they are needed,
+    # are of the same 2^-e m.
     e = linalg.exponent(m)
     scaled = np.ldexp(m, -e)
     atol_scaled = float(np.ldexp(atol, -e))
@@ -376,9 +353,12 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         "symmetric", sym_err <= atol_scaled, f"max |A - A^T| = {units(sym_err):.3e}"
     )
 
-    off = m.copy()  # unscaled: 2^-e could flush a small positive entry to 0
-    np.fill_diagonal(off, 0.0)
-    worst_off = float(off.max())
+    # unscaled: 2^-e could flush a small positive entry to 0. After the
+    # first entry, m's n^2 entries fall in n - 1 runs of n off-diagonal
+    # ones, each followed by a diagonal one. max(0.0, .) reports a -0.0
+    # maximum, or the empty off-diagonal of n = 1, as +0.0
+    flat = m.ravel()
+    worst_off = max(0.0, float(flat[1:].reshape(n - 1, n + 1)[:, :n].max(initial=-np.inf)))
     checks["offdiag_nonpositive"] = PropertyCheck(
         "offdiag_nonpositive", worst_off <= atol, f"max off-diagonal = {worst_off:.3e}"
     )
@@ -391,24 +371,25 @@ def _check_properties(q: LaplacianMatrix, tol: Tolerances) -> ValidationReport:
         f"max |row sum| = {units(row_err):.3e}, max |col sum| = {units(col_err):.3e}",
     )
 
-    # the support |a_ij| > atol; no entry lies above atol where the sign
-    # check passed
-    support = off < -atol
+    # the support |a_ij| > atol, diagonal self-loops included, which do not
+    # change connectivity; no off-diagonal entry lies above atol where the
+    # sign check passed
+    support = m < -atol
     if worst_off > atol:
-        support |= off > atol
+        support |= m > atol
     checks["irreducible"] = PropertyCheck(
         "irreducible", _connected(n, *np.nonzero(support)), "BFS over off-diagonal support"
     )
 
     if q.factor is not None:
-        # the factor's screen certifies both verdicts of the eigen route
+        # the factor's screen certifies both verdicts of an eigh
         certified = "certified by the grounded factor"
         checks["positive_semidefinite"] = PropertyCheck(
             "positive_semidefinite", True, certified)
         checks["single_zero_eigenvalue"] = PropertyCheck(
             "single_zero_eigenvalue", True, f"1 zero eigenvalue, {certified}")
     else:
-        vals = q._scaled[1].eigenvalues
+        vals = q._scaled_eigenvalues
         mu_max = max(float(np.abs(vals).max()), np.finfo(float).tiny)
         zero_cut = DEFAULT.zero_eigenvalue * mu_max
         min_val = float(vals.min())
@@ -484,18 +465,14 @@ def graph_from_laplacian(a, tol: Tolerances = DEFAULT) -> WeightedGraph:
 
 def spanning_tree_count(q: LaplacianMatrix) -> float:
     """Matrix-Tree count: the product of the grounded factor's pivots, the
-    determinant of Q without its last node, or where there is no factor,
-    the product of the nonzero Laplacian eigenvalues over n.
+    determinant of Q without its last node. RankDeficientError where the
+    factor's screen declines (``LaplacianMatrix.pinv``).
 
     Raises NonFiniteEntryError when the count overflows to inf or
     underflows to 0, as it does for ordinary weights at n = 1000.
     """
-    f = q.factor
     with np.errstate(all="ignore"):
-        if f is not None:
-            tau = float(np.prod(f.pivots))
-        else:
-            tau = float(np.prod(q.spectrum.eigenvalues[:-1]) / q.n)
+        tau = float(np.prod(q._certified().pivots))
     if not np.isfinite(tau) or tau == 0.0:
         raise NonFiniteEntryError("the spanning tree count leaves the float range")
     return tau

@@ -193,16 +193,11 @@ def principal_submatrix(m: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     return out
 
 
-def double_center(m: np.ndarray) -> np.ndarray:
-    """J M J with J = I - uu^T/n, for the symmetric part of M, in O(n^2):
-    subtract the row means from the rows and from the columns and add
-    back the grand mean. The result is exactly symmetric."""
-    return double_center_in_place(symmetric_part(m))
-
-
 def double_center_in_place(m: np.ndarray) -> np.ndarray:
-    """``double_center`` of an exactly symmetric, finite M, written over M
-    and returned: ``symmetric_part`` of such an M is a bitwise copy."""
+    """J M J with J = I - uu^T/n, in O(n^2), for an exactly symmetric,
+    finite M, written over M and returned: subtract the row means from the
+    rows and from the columns and add back the grand mean. The result is
+    exactly symmetric."""
     means = m.mean(axis=1)
     m -= np.add.outer(means, means)
     m += means.mean()

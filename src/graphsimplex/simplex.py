@@ -89,22 +89,12 @@ class GramPair:
 
 def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     """Vertices S with S^T S = Q^dagger, so that squared vertex distances
-    equal the effective resistances: the grounded factor's read-only
-    ``frame`` (``LaplacianMatrix.factor``), in that factor's frame; where
-    there is none, (s_i)_k = (z_k)_i / sqrt(mu_k) over the nonzero
-    eigenpairs, on the principal axes.
-
-    Raises RankDeficientError where the spectrum answers and does not
-    resolve the smallest nonzero eigenvalue (``LaplacianMatrix.spectrum``).
+    equal the effective resistances: the certified grounded factor's
+    read-only ``frame``, in that factor's frame. RankDeficientError where
+    the factor's screen declines (``LaplacianMatrix.pinv``).
     """
-    f = q.factor
-    if f is not None:
-        return SimplexEmbedding(vertices=f.frame, gram=f.frame_gram)
-    dec = q.spectrum
-    mu = dec.eigenvalues[:-1]  # descending, zero eigenvalue dropped
-    z = dec.eigenvectors[:, :-1]
-    s = z.T / np.sqrt(mu)[:, None]
-    return SimplexEmbedding(vertices=s)
+    f = q._certified()
+    return SimplexEmbedding(vertices=f.frame, gram=f.frame_gram)
 
 
 def canonical_gram(vertices) -> GramPair:

@@ -641,8 +641,8 @@ class TestRangeErrors:
 
     @pytest.mark.parametrize("command", ["embed", "volume"])
     def test_mixed_scale_eigenvalue_rounds_to_zero(self, capsys, monkeypatch, command):
-        # a tree whose weights span ~500 decades: one nonzero eigenvalue of its
-        # double-precision spectrum rounds to <= 0
+        # a tree whose weights span ~500 decades: one nonzero eigenvalue of a
+        # double-precision eigh would round to <= 0, and the factor declines
         doc = ("4 3 2.8e29\n5 2 8.9e-27\n4 0 5.1e185\n0 6 3.9e151\n"
                "2 3 1.9e206\n1 5 1.3e-300\n")
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
@@ -650,7 +650,7 @@ class TestRangeErrors:
             warnings.simplefilter("error")
             code, out, err = run(capsys, [command, "-"])
         assert_one_error_line(code, out, err)
-        assert "eigenvalue" in err
+        assert "too many decades" in err
 
     @pytest.mark.parametrize("command", ["pinv", "resistance", "embed", "blocks", "volume",
                                          "metric-check", "verify-identity", "spanning-trees"])
@@ -662,7 +662,7 @@ class TestRangeErrors:
             warnings.simplefilter("error")
             code, out, err = run(capsys, [command, "-"])
         assert_one_error_line(code, out, err)
-        assert "rounding level" in err
+        assert "too many decades" in err
 
     @pytest.mark.parametrize("weight", ["1e200", "1e-200"])
     def test_tree_count_out_of_range(self, capsys, monkeypatch, weight):
@@ -682,31 +682,26 @@ class TestRangeErrors:
         assert "cannot allocate" in err
 
 
-def test_volume_reads_the_shared_spectrum(capsys, monkeypatch, eigh_calls, cholesky_calls, rng):
-    # the embedding comes off the Laplacian's one grounded factor, or with
-    # its screen off, off its one spectrum
-    built = []
-
-    def build(g):
-        built.append(graphsimplex.build_laplacian(g))
-        return built[-1]
-
-    monkeypatch.setattr("graphsimplex.cli.build_laplacian", build)
+def test_volume_reads_the_one_factor(capsys, monkeypatch, eigh_calls, cholesky_calls, rng):
+    # the embedding comes off the Laplacian's one grounded factor; with its
+    # screen off, volume is refused, with no eigh
     g = random_graph(rng, n=6)
     doc = "".join(f"{g.labels[i]} {g.labels[j]} {w!r}\n"
                   for (i, j), w in zip(g.links, g.weights))
-    volumes = []
+    runs = []
     for route in (nullcontext, eigen_only):
         with route():
             monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-            code, out, _ = run(capsys, ["volume", "-"])
-        assert code == 0 and float(out) > 0.0
-        volumes.append(float(out))
-    assert cholesky_calls == [(5, 5)]
-    assert eigh_calls == [(6, 6)]
-    assert "factor" in vars(built[0]) and "spectrum" not in vars(built[0])
-    assert "spectrum" in vars(built[1])
-    assert volumes[0] == pytest.approx(volumes[1], rel=1e-10)
+            runs.append(run(capsys, ["volume", "-"]))
+    (code, out, _), refused = runs
+    assert code == 0 and float(out) > 0.0
+    assert_one_error_line(*refused)
+    assert "too many decades" in refused[2]
+    assert cholesky_calls == [(5, 5)] and eigh_calls == []
+    with eigen_only():  # the Gram side's eigen route, as a reference
+        ref = graphsimplex.pinv_kernel_u(graphsimplex.build_laplacian(g).matrix)
+    want = graphsimplex.cayley_menger_volume(graphsimplex.linalg.squared_distances(ref))
+    assert float(out) == pytest.approx(want, rel=1e-10)
 
 
 def reference_tsv(labels, matrix):

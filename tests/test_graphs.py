@@ -304,30 +304,33 @@ class TestLaplacianCaches:
         with pytest.raises(ValueError):
             omega[0, 1] = 1.0
 
-    def test_spectrum_is_read_only(self, rng):
-        q = gs.build_laplacian(random_graph(rng, n=6))
+    def test_spectrum_is_read_only(self):
+        # where the factor declines, validation reads eigenvalues it keeps
+        # read-only; it keeps no eigenvectors
+        q = unresolved_tree()
+        gs.validate_laplacian(q)
         with pytest.raises(ValueError):
-            q.spectrum.eigenvalues[0] = 1.0
-        with pytest.raises(ValueError):
-            q.spectrum.eigenvectors[0, 0] = 1.0
+            q._scaled_eigenvalues[0] = 1.0
 
     def test_spectrum_is_the_eigendecomposition(self, small_corpus):
         for q in small_corpus[:10]:
-            dec = gs.eigh(q.matrix)
-            assert np.array_equal(q.spectrum.eigenvalues, dec.eigenvalues)
-            assert np.array_equal(q.spectrum.eigenvectors, dec.eigenvectors)
+            scaled = np.ldexp(q.matrix, -gs.linalg.exponent(q.matrix))
+            assert np.array_equal(q._scaled_eigenvalues, gs.eigh(scaled).eigenvalues)
 
-    def test_embed_and_trees_share_one_eigh(self, eigh_calls, cholesky_calls, rng):
-        # one grounded factor serves both; with its screen off, one eigh
+    def test_embed_and_trees_share_one_factor(self, eigh_calls, cholesky_calls, rng):
+        # one grounded factor serves both; with its screen off, both refuse
         g = random_graph(rng, n=12)
-        for route in (nullcontext, eigen_only):
-            with route():
-                q = gs.build_laplacian(g)
-                gs.embed_from_laplacian(q)
-                gs.spanning_tree_count(q)
-                gs.embed_from_laplacian(q)
+        q = gs.build_laplacian(g)
+        gs.embed_from_laplacian(q)
+        gs.spanning_tree_count(q)
+        gs.embed_from_laplacian(q)
+        with eigen_only():
+            q = gs.build_laplacian(g)
+            for answer in (gs.embed_from_laplacian, gs.spanning_tree_count):
+                with pytest.raises(RankDeficientError, match="too many decades"):
+                    answer(q)
         assert cholesky_calls == [(11, 11)]
-        assert eigh_calls == [(12, 12)]
+        assert eigh_calls == []
 
     def test_graph_from_laplacian_reads_the_validation(self, eigh_calls, eigvalsh_calls,
                                                        cholesky_calls, rng):
@@ -397,7 +400,7 @@ def assert_same_report_but_min_eigenvalue(report, raw, q):
     prefix = "min eigenvalue = "
     detail = report.checks["positive_semidefinite"].detail
     assert detail.startswith(prefix)
-    mu = q.spectrum.eigenvalues
+    mu = gs.eigh(q.symmetric).eigenvalues
     assert abs(float(detail[len(prefix):])) <= q.n * np.finfo(float).eps * mu[0]
 
 
@@ -413,7 +416,7 @@ def mixed_scale_tree():
 
 def overflowing_path():
     # finite entries, but the largest eigenvalue (2.4e308) is not: the
-    # scaled eigh serves validation, and the spectrum refuses
+    # scaled eigh serves validation, and the factor declines
     return gs.build_laplacian(gs.parse_graph("a b 8e307\nb c 8e307\n"))
 
 
@@ -433,15 +436,20 @@ SWEEP_SCALES = [-300, -250, -100, -8, 0, 12, 100, 250, 300]
 class TestValidationReadsTheSharedSpectrum:
     def test_one_eigh_per_laplacian(self, eigh_calls, eigvalsh_calls, cholesky_calls, rng):
         # one grounded factor per Laplacian; with its screen off, one eigh
+        # serves validation, and the factor's answers refuse
         g = random_graph(rng, n=11)
+        answers = (gs.laplacian_pseudoinverse, gs.embed_from_laplacian, gs.spanning_tree_count)
         for route in (nullcontext, eigen_only):
             with route():
                 q = gs.build_laplacian(g)
                 assert gs.validate_laplacian(q).passed
                 gs.graph_from_laplacian(q)
-                q.pinv
-                gs.embed_from_laplacian(q)
-                gs.spanning_tree_count(q)
+                for answer in answers:
+                    if q.factor is None:
+                        with pytest.raises(RankDeficientError):
+                            answer(q)
+                    else:
+                        answer(q)
         assert cholesky_calls == [(10, 10)]
         assert eigh_calls == [(11, 11)]
         assert eigvalsh_calls == []
@@ -478,32 +486,32 @@ class TestValidationReadsTheSharedSpectrum:
         for tol in (gs.DEFAULT, gs.Tolerances(1e-6)):
             assert gs.validate_laplacian(q, tol).passed
         for _ in range(3):
-            with pytest.raises(NonFiniteEntryError,
-                               match="^an eigenvalue overflows the float range$"):
-                q.spectrum
+            with pytest.raises(RankDeficientError, match="leave the float range"):
+                q.pinv
         assert eigh_calls == [(3, 3)]
         assert eigvalsh_calls == []
 
     def test_empty_matrix_has_no_spectrum(self):
         with pytest.raises(NonSquareError, match="non-empty"):
-            gs.LaplacianMatrix(np.zeros((0, 0))).spectrum
+            gs.LaplacianMatrix(np.zeros((0, 0)))
 
     def test_unresolved_spectrum_validates_and_refuses_once(self, eigh_calls):
-        # validation reads the eigenvalues that the spectrum's rule refuses;
-        # the 1.6e-9 links fall in the dead-band, so both verdicts fail
+        # validation reads the eigenvalues of one eigh where the factor
+        # declines; the 1.6e-9 links fall in the dead-band, so both verdicts
+        # fail
         q = unresolved_tree()
         report = gs.validate_laplacian(q)
         assert report.consistent and not report.passed
         for _ in range(2):
-            with pytest.raises(RankDeficientError, match="rounding level"):
-                q.spectrum
+            with pytest.raises(RankDeficientError, match="too many decades"):
+                q.pinv
         assert eigh_calls == [(7, 7)]
 
 
 class TestAcceptedAsymmetry:
     def test_pinv_and_embedding_are_those_of_the_symmetric_part(self, rng):
         # from_matrix accepts asymmetry within the validation tolerance;
-        # the shared spectrum must accept the same matrices
+        # the grounded factor must accept the same matrices
         m = gs.build_laplacian(random_graph(rng, n=12)).matrix.copy()
         m += np.triu(rng.normal(scale=1e-11, size=m.shape), 1)
         m -= np.diag(m.sum(axis=1))
@@ -560,6 +568,19 @@ def reference_sum_checks(m, tol=gs.DEFAULT):
 
 
 class TestScaleFreeValidation:
+    @pytest.mark.parametrize("m", [
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[1.0, -0.0, -1.0], [-0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]],
+        [[5.0]],
+    ], ids=["zero-2", "path-3", "one-node"])
+    def test_negative_zero_off_diagonal_reads_as_zero(self, m):
+        # the off-diagonal maximum is -0.0, or there is no off-diagonal;
+        # the detail prints +0, as when the diagonal was zeroed in a copy
+        report = gs.validate_laplacian(np.array(m))
+        check = report.checks["offdiag_nonpositive"]
+        assert check.passed and check.detail == "max off-diagonal = 0.000e+00"
+        assert report.checks["irreducible"].passed == (len(m) != 2)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_spectrum_is_consistent(self):
         # finite entries, but the largest eigenvalue (2.4e308) is not

@@ -1,11 +1,10 @@
-from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import graphsimplex as gs
-from graphsimplex import linalg
+from graphsimplex import linalg, resistance
 from graphsimplex.errors import (
     AsymmetricError,
     GraphSimplexError,
@@ -73,8 +72,9 @@ class TestEigh:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         monkeypatch.setattr(np.linalg, "eigh", fail)
         q = gs.build_laplacian(complete_graph(3))
-        for answer in (lambda: gs.eigh(q.matrix), lambda: q.spectrum):
-            with pytest.raises(NoConvergenceError, match="did not converge"):
+        # with the screen off, validation reads one eigh
+        for answer in (lambda: gs.eigh(q.matrix), lambda: gs.validate_laplacian(q.matrix)):
+            with eigen_only(), pytest.raises(NoConvergenceError, match="did not converge"):
                 answer()
 
 
@@ -107,6 +107,11 @@ class TestLaplacianPseudoinverse:
             spectral = gs.pinv_kernel_u(q.matrix)
             scale = np.abs(shift).max()
             assert np.abs(shift - spectral).max() <= 1e-8 * scale
+
+    def test_kernel_not_the_constant_vector_is_refused(self):
+        # 2 I has no kernel: the eigen fallback returned diag(0, 1/2, 1/2)
+        with pytest.raises(RankDeficientError, match="kernel is not the constant vector"):
+            gs.laplacian_pseudoinverse(2 * np.eye(3))
 
 
 class TestPinvKernelU:
@@ -200,39 +205,41 @@ class TestDoubleCenter:
             for m in (rng.standard_normal((n, n)), rng.random((n, n)) * 1e6):
                 sym = 0.5 * (m + m.T)
                 want = j @ sym @ j
-                got = linalg.double_center(m)
+                got = linalg.double_center_in_place(linalg.symmetric_part(m))
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(m).max()
 
     def test_exactly_symmetric_with_zero_row_sums(self, rng):
         for n in (2, 5, 33):
-            got = linalg.double_center(rng.standard_normal((n, n)))
+            got = linalg.double_center_in_place(linalg.symmetric_part(rng.standard_normal((n, n))))
             assert np.array_equal(got, got.T)
             assert np.abs(got.sum(axis=1)).max() <= 1e-13
 
     def test_leaves_input_unchanged(self, rng):
         m = rng.standard_normal((6, 6))
         before = m.copy()
-        linalg.double_center(m)
+        linalg.double_center_in_place(linalg.symmetric_part(m))
         assert np.array_equal(m, before)
 
 
 class TestOnePseudoinverseRoute:
-    def test_every_laplacian_answer_reads_one_eigh(self, monkeypatch, eigh_calls,
-                                                   cholesky_calls, rng):
+    def test_every_laplacian_answer_reads_one_factor(self, monkeypatch, eigh_calls,
+                                                     cholesky_calls, rng):
         # one grounded factor, whose inverse is one leaf solve; with its
-        # screen off, one eigh and no solve
+        # screen off, every answer refuses, with no eigh and no solve
         solve_calls = record_shapes(monkeypatch, "solve")
         g = random_graph(rng, n=9)
-        for route in (nullcontext, eigen_only):
-            with route():
-                q = gs.build_laplacian(g)
-                gs.resistance_matrix(q)
-                gs.dihedral_angles(gs.gram_pair_from_laplacian(q))
-                gs.verify_fiedler_identity(q)
-                gs.embed_from_laplacian(q)
-                gs.spanning_tree_count(q)
+        answers = (gs.resistance_matrix, lambda q: gs.dihedral_angles(gs.gram_pair_from_laplacian(q)),
+                   gs.verify_fiedler_identity, gs.embed_from_laplacian, gs.spanning_tree_count)
+        q = gs.build_laplacian(g)
+        for answer in answers:
+            answer(q)
+        with eigen_only():
+            q = gs.build_laplacian(g)
+            for answer in answers:
+                with pytest.raises(RankDeficientError, match="too many decades"):
+                    answer(q)
         assert cholesky_calls == solve_calls == [(8, 8)]
-        assert eigh_calls == [(9, 9)]
+        assert eigh_calls == []
 
     def test_pinv_is_the_gram_of_the_embedding(self, small_corpus):
         for q in small_corpus:
@@ -254,11 +261,14 @@ class TestOnePseudoinverseRoute:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_pseudoinverse_rejected(self):
         # eigenvalues 3e-310 and 1e-310: Q^dagger has entries near 1e309
+        # the factor declines it, and the Gram side's eigen route refuses it
         q = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\n"))
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(RankDeficientError, match="leave the float range"):
             q.pinv
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(RankDeficientError, match="leave the float range"):
             gs.laplacian_pseudoinverse(q.matrix)
+        with pytest.raises(NonFiniteEntryError):
+            gs.pinv_kernel_u(q.matrix)
 
 
 class TestResolvableSpectrum:
@@ -269,25 +279,18 @@ class TestResolvableSpectrum:
                    lambda: gs.resistance_matrix(q)]
         messages = set()
         for answer in answers:
-            with pytest.raises(RankDeficientError, match="rounding level") as info:
+            with pytest.raises(RankDeficientError, match="too many decades") as info:
                 answer()
             messages.add(str(info.value))
         assert len(messages) == 1
 
     def test_margin_on_the_corpus(self, small_corpus):
-        # mu_(n-2) / (n eps mu_max) is at least 1e12 on ordinary weights
+        # mu_(n-2) / (n eps mu_max) is at least 1e12 on ordinary weights, and
+        # the factor certifies each
         for q in small_corpus:
-            mu = q.spectrum.eigenvalues
+            mu = gs.eigh(q.matrix).eigenvalues
             assert mu[-2] / (q.n * np.finfo(float).eps * mu[0]) >= 1e12
-
-    def test_the_rule_is_a_product(self):
-        # a subnormal spectrum: n eps mu_max underflows to 0, and the cycle's
-        # pseudoinverse is refused only because it overflows
-        m = gs.build_laplacian(gs.parse_graph("a b 1e-310\nb c 1e-310\nc d 1e-310\n"
-                                              "a d 1e-310\n")).matrix
-        assert gs.LaplacianMatrix(m).spectrum.eigenvalues[-2] > 0.0
-        with pytest.raises(NonFiniteEntryError):
-            gs.laplacian_pseudoinverse(m)
+            assert q.factor is not None
 
 
 def spd_block(rng, b):
@@ -465,7 +468,7 @@ class TestCholeskyScreen:
 
 
 # The Laplacian-side answers, each an array or the type and message of its
-# error: the same on the grounded factor as on the eigen route
+# error
 LAPLACIAN_ANSWERS = {
     "pinv": lambda q: q.pinv,
     "omega": gs.resistance_matrix,
@@ -476,17 +479,34 @@ LAPLACIAN_ANSWERS = {
 }
 
 
+def verdicts(m):
+    report = gs.validate_laplacian(gs.LaplacianMatrix(m))
+    return ({name: c.passed for name, c in report.checks.items()},
+            report.passed, report.spectral_passed, report.consistent)
+
+
 def laplacian_outcomes(m):
     q = gs.LaplacianMatrix(m)
-    report = gs.validate_laplacian(q)
-    got = {"verdicts": ({name: c.passed for name, c in report.checks.items()},
-                        report.passed, report.spectral_passed, report.consistent)}
+    got = {}
     for name, answer in LAPLACIAN_ANSWERS.items():
         try:
             got[name] = np.asarray(answer(q), dtype=float)
         except GraphSimplexError as exc:
             got[name] = (type(exc), str(exc))
     return got
+
+
+def eigen_reference(m):
+    """The ``LAPLACIAN_ANSWERS`` read off the Gram side's eigen route,
+    ``pinv_kernel_u`` with the screen off, and the tree count off the
+    nonzero eigenvalues of one ``eigh``."""
+    with eigen_only():
+        p = gs.pinv_kernel_u(m)
+    omega = linalg.squared_distances(p)
+    fb = resistance._blocks(p, linalg.symmetric_part(m))
+    return {"pinv": p, "omega": omega, "distances": omega,
+            "trees": np.prod(gs.eigh(m).eigenvalues[:-1]) / len(m),
+            "zeta": fb.zeta, "radius": fb.radius}
 
 
 LAPLACIAN_SPECIMENS = {
@@ -503,6 +523,10 @@ LAPLACIAN_SPECIMENS = {
 
 
 class TestLaplacianScreen:
+    """Validation's verdicts are those of the eigen route. Where the factor
+    certifies, its answers are those of the Gram side's eigen route; where
+    it declines, every answer is the same RankDeficientError."""
+
     @pytest.mark.parametrize("doc", list(LAPLACIAN_SPECIMENS.values()),
                              ids=list(LAPLACIAN_SPECIMENS))
     def test_specimens_answer_as_the_eigen_route(self, doc):
@@ -516,15 +540,17 @@ class TestLaplacianScreen:
     @staticmethod
     def assert_same_outcomes(m):
         got = laplacian_outcomes(m)
+        factor_verdicts = verdicts(m)
         with eigen_only():
-            want = laplacian_outcomes(m)
-        assert got["verdicts"] == want["verdicts"]
+            assert verdicts(m) == factor_verdicts
+        if gs.LaplacianMatrix(m).factor is None:
+            assert got["pinv"][0] is RankDeficientError
+            assert all(got[name] == got["pinv"] for name in LAPLACIAN_ANSWERS)
+            return
+        want = eigen_reference(m)
         mu = np.sort(np.abs(np.linalg.eigvalsh(m)))
         kappa = mu[-1] / max(mu[1], np.finfo(float).tiny)
         for name in LAPLACIAN_ANSWERS:
-            if isinstance(want[name], tuple) or isinstance(got[name], tuple):
-                assert got[name] == want[name], name
-                continue
             scale = np.abs(want[name]).max()
             err = np.abs(got[name] - want[name]).max()
             assert err <= 20 * kappa * np.finfo(float).eps * scale, name
