@@ -5,7 +5,9 @@ Samples random connected weighted graphs, then reports the distribution of
 the block-identity residual, the Schur resistance-preservation residual,
 the quotient-property residual relative to the largest diagonal entry of
 the one-shot reduction, and the round-trip error
-Q -> embedding -> canonical Gram -> pinv -> Q.
+Q -> embedding's vertex matrix -> canonical Gram -> pinv -> Q. The bare
+vertex matrix is passed: the embedding itself carries (Q^dagger, Q), which
+canonical_gram would return as it is.
 
 Usage:
     python3 scripts/residual_report.py [--graphs N] [--max-nodes N] [--seed S]
@@ -52,7 +54,7 @@ def main() -> int:
             report = gs.check_quotient(q, keep, sub)
             one_shot = gs.schur_complement(q, sub).matrix
             quotient.append(report.residual / float(np.diag(one_shot).max()))
-        gp = gs.canonical_gram(gs.embed_from_laplacian(q))
+        gp = gs.canonical_gram(gs.embed_from_laplacian(q).vertices)
         scale = float(np.abs(q.matrix).max())
         round_trip.append(float(np.abs(gp.pinv_gram - q.matrix).max()) / scale)
 

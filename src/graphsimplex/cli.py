@@ -185,7 +185,7 @@ _COMMANDS = {
     "reduce": cmd_reduce,
     "metric-check": cmd_metric_check,
     "volume": lambda args, g, q: _emit_scalar(args, simplex.cayley_menger_volume(
-        simplex.embed_from_laplacian(q).squared_distances())),
+        resistance.resistance_matrix(q))),
     "verify-identity": cmd_verify_identity,
     "spanning-trees": lambda args, g, q: _emit_scalar(args, spanning_tree_count(q)),
     "blocks": cmd_blocks,

@@ -248,43 +248,29 @@ class GroundedFactor:
     """The certified grounded factor of a symmetric n x n matrix M with
     kernel span{u}: L L^T = 2^-e M without its last row and column, e even.
 
-    With V = [L^{-1}, 0] J, J = I - uu^T/n, and the unit frame U = 2^-k V,
-    k = ``exponent(V)``: ``pinv``, 2^(2k-e) U^T U by one SYRK, is
-    M^dagger, and ``frame``, 2^(k-e/2) U = 2^(-e/2) V, is a vertex matrix
-    of M's simplex in that factor's frame (Fiedler), so ``pinv`` is the
-    frame's Gram, 4^(k-e/2) U^T U. ``pivots``, L's squared diagonal times
-    2^e, are the pivots of eliminating all of M's nodes but the last,
-    whose product is the determinant of M without its last node.
+    With V = [L^{-1}, 0] J, J = I - uu^T/n: ``pinv``, 2^-e V^T V by one
+    SYRK, is M^dagger, and ``frame``, 2^(-e/2) V, is a vertex matrix of M's
+    simplex in that factor's frame (Fiedler), so ``pinv`` is the frame's
+    Gram. ``pivots``, L's squared diagonal times 2^e, are the pivots of
+    eliminating all of M's nodes but the last, whose product is the
+    determinant of M without its last node.
     """
 
-    def __init__(self, pivots: np.ndarray, unit: np.ndarray, shift: int,
+    def __init__(self, pivots: np.ndarray, v: np.ndarray, shift: int,
                  pinv: np.ndarray):
         self.pivots, self.pinv = pivots, pinv
-        self._unit, self._shift = unit, shift  # frame = 2^shift U
+        self._v, self._shift = v, shift  # frame = 2^shift V
 
     @cached_property
     def frame(self) -> np.ndarray:
-        """2^(k-e/2) U, read-only, scaled in place on first use: the factor
+        """2^(-e/2) V, read-only, scaled in place on first use: the factor
         holds one (n-1) x n array, and a caller that reads only ``pinv``
         scales none."""
-        frame = self._unit
+        frame = self._v
         if self._shift:
             np.ldexp(frame, self._shift, out=frame)
         frame.setflags(write=False)
         return frame
-
-    @cached_property
-    def frame_gram(self) -> np.ndarray | None:
-        """``pinv`` where ``frame`` and it are U and U^T U scaled exactly,
-        so that 2^-exponent(frame) frame is U and 4^-exponent(frame) pinv
-        the U^T U that ``canonical_gram`` would form: a scale-up
-        (k >= e/2) always is exact, and a scale-down where no entry of
-        either lands below the normal range. None anywhere else."""
-        tiny = np.finfo(float).tiny
-        if self._shift >= 0 or (np.abs(self.frame).min() >= tiny
-                                and np.abs(self.pinv).min() >= tiny):
-            return self.pinv
-        return None
 
 
 def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
@@ -315,8 +301,6 @@ def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
     exactly the one zero, resolve the rest, and answer M^dagger. For any
     symmetric M with kernel span{u} and a nonsingular S_g, M^dagger is
     J [[S_g^{-1}, 0], [0, 0]] J 2^-e = V^T V 2^-e, up to the same errors.
-    It is formed as 2^(2k-e) U^T U, which is bitwise 2^-e V^T V wherever
-    U = 2^-k V scales V and its products exactly, as on every Laplacian.
     """
     n = m.shape[0]
     t = DEFAULT.zero_eigenvalue
@@ -347,17 +331,14 @@ def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
             return None
         del a
         v -= v.sum(axis=1, keepdims=True) / n  # [W, 0] J
-        k = exponent(v)
-        if k:
-            np.ldexp(v, -k, out=v)  # U, the frame canonical_gram would scale to
         p = v.T @ v  # one SYRK, exactly symmetric
-        if 2 * k != e:
-            np.ldexp(p, 2 * k - e, out=p)
-    # U's entries lie in (-1, 1), so those of U^T U, sums of n - 1 products,
-    # below n - 1: p is finite wherever 2^(2k-e) (n - 1) is
-    if 2 * k - e + (n - 1).bit_length() > 1023 and not np.isfinite(p).all():
+        if e:
+            np.ldexp(p, -e, out=p)
+    # V's entries lie below 2^k, k = exponent(V), so those of V^T V, sums of
+    # n - 1 products, below 4^k (n - 1): p is finite wherever 2^(2k-e) (n - 1) is
+    if 2 * exponent(v) - e + (n - 1).bit_length() > 1023 and not np.isfinite(p).all():
         return None
-    return GroundedFactor(pivots, v, k - e // 2, p)
+    return GroundedFactor(pivots, v, -e // 2, p)
 
 
 def pinv_kernel_u(a) -> np.ndarray:

@@ -38,37 +38,20 @@ from .resistance import FiedlerBlocks, check_zero_diagonal
 class SimplexEmbedding:
     """Centered vertex matrix, one column per vertex, (n-1) coordinates.
 
-    ``gram``, which equality and repr ignore, is None or the read-only
-    Gram matrix S^T S, formed as 4^e U^T U with U = 2^-e S, e the binary
-    exponent of max|S|, and both scalings exact: 4^-e ``gram`` is then
-    the U^T U that ``canonical_gram`` would form. ``embed_from_laplacian``
-    passes Q^dagger, which its grounded factor formed so, and neither
-    ``canonical_gram`` nor ``squared_distances`` forms it again.
+    ``pair``, which equality and repr ignore, is None or the Simplex's
+    canonical Gram pair, which ``canonical_gram`` returns as it is:
+    ``embed_from_laplacian`` passes (Q^dagger, Q), the exact pair of a
+    graph's simplex (Fiedler).
     """
 
     vertices: np.ndarray
-    gram: np.ndarray | None = field(default=None, compare=False, repr=False)
+    pair: GramPair | None = field(default=None, compare=False, repr=False)
 
     def squared_distances(self) -> np.ndarray:
         """NonFiniteEntryError when a distance overflows, as the vertices of
-        a graph with weights near 1e-320 can.
-
-        S^T S is ``gram`` where that is bitwise the product of S itself:
-        where every entry of S and of U is at least 2^-485 in magnitude,
-        each product in either SYRK is a normal number and each sum is
-        rounded alike or exact, and where 2^(2e) (n-1) is below 2^1023,
-        none overflows. It is formed anywhere else."""
-        s, gram = self.vertices, self.gram
-        if gram is not None and s.size:
-            a = np.abs(s)
-            e = int(np.frexp(a.max())[1])
-            if not (a.min() >= 2.0 ** (max(e, 0) - 485)
-                    and 2 * e + s.shape[0].bit_length() <= 1023):
-                gram = None
-            del a
-        if gram is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = s.T @ s
+        a graph with weights near 1e-320 can."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.vertices.T @ self.vertices
         return linalg.squared_distances(gram)
 
 
@@ -90,23 +73,26 @@ class GramPair:
 def embed_from_laplacian(q: LaplacianMatrix) -> SimplexEmbedding:
     """Vertices S with S^T S = Q^dagger, so that squared vertex distances
     equal the effective resistances: the certified grounded factor's
-    read-only ``frame``, in that factor's frame. RankDeficientError where
-    the factor's screen declines (``LaplacianMatrix.pinv``).
+    read-only ``frame``, in that factor's frame, carrying the pair
+    ``gram_pair_from_laplacian(q)``. RankDeficientError where the factor's
+    screen declines (``LaplacianMatrix.pinv``).
     """
-    f = q._certified()
-    return SimplexEmbedding(vertices=f.frame, gram=f.frame_gram)
+    return SimplexEmbedding(vertices=q._certified().frame,
+                            pair=gram_pair_from_laplacian(q))
 
 
 def canonical_gram(vertices) -> GramPair:
     """Canonical Gram pair of the Simplex spanned by the given vertex
     matrix (d x n, one column per vertex), for any representative: the
     result is invariant under rotations, reflections and translations.
+    A ``SimplexEmbedding`` that carries its ``pair`` gets that pair back.
 
-    The pair is formed for 2^-e S, e the binary exponent of max|S|, and
-    scaled back by exact powers of two, so vertices times 2^k give the
-    pair times 4^k and 4^-k, bit for bit; NonFiniteEntryError where either
-    Gram leaves the float range. The Gram of 2^-e S is 4^-e times a
-    ``SimplexEmbedding``'s ``gram`` where it holds one."""
+    Otherwise the pair is formed for 2^-e S, e the binary exponent of
+    max|S|, and scaled back by exact powers of two, so vertices times 2^k
+    give the pair times 4^k and 4^-k, bit for bit; NonFiniteEntryError
+    where either Gram leaves the float range."""
+    if isinstance(vertices, SimplexEmbedding) and vertices.pair is not None:
+        return vertices.pair
     s = np.asarray(getattr(vertices, "vertices", vertices), dtype=float)
     if s.ndim != 2:
         raise DegenerateSimplexError("vertex matrix must be 2-dimensional")
@@ -116,13 +102,9 @@ def canonical_gram(vertices) -> GramPair:
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonFiniteEntryError("vertex matrix contains non-finite entries")
         e = int(np.frexp(max(hi, -lo))[1])  # linalg.exponent(s)
-    gram = vertices.gram if isinstance(vertices, SimplexEmbedding) else None
-    if gram is not None:
-        gram = np.ldexp(gram, -2 * e)  # a new array, centred in place below
-    else:
-        unit = np.ldexp(s, -e)
-        gram = unit.T @ unit
-        del unit
+    unit = np.ldexp(s, -e)
+    gram = unit.T @ unit
+    del unit
     try:
         pair = _centered_pair(gram)
     except GraphSimplexError as exc:
@@ -154,6 +136,9 @@ def gram_pair_from_pinv(pinv_gram) -> GramPair:
 
 
 def gram_pair_from_laplacian(q: LaplacianMatrix) -> GramPair:
+    """(Q^dagger, Q), exactly the canonical Gram pair of the graph's
+    simplex (Fiedler): ``q.pinv`` and ``q.symmetric`` themselves, read-only
+    and not copied."""
     return GramPair(gram=q.pinv, pinv_gram=q.symmetric)
 
 

@@ -159,9 +159,10 @@ def test_criterion_9_bijection_round_trips(corpus):
     rng = np.random.default_rng(CORPUS_SEED + 5)
     for q in corpus[:60]:
         emb = gs.embed_from_laplacian(q)
-        gp = gs.canonical_gram(emb)
         scale = np.abs(q.matrix).max()
-        assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-7 * scale
+        # the pair the embedding carries, and the one its vertices span
+        for gp in (gs.canonical_gram(emb), gs.canonical_gram(emb.vertices)):
+            assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-7 * scale
     for _ in range(30):
         g = random_graph(rng, max_n=20)
         q = gs.build_laplacian(g)

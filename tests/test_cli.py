@@ -740,9 +740,9 @@ def cycle(w):
 # 4-cycles at three scales must give finite answers; the 8e307 path (largest
 # eigenvalue beyond the float range) and the 1e-310 cycle (Q^dagger beyond
 # it) may also exit 2 with one error line. Left out: volume and
-# spanning-trees, whose log-space forms are still open (ROADMAP 1(c), 1(d)),
+# spanning-trees, whose log-space forms are still open (ROADMAP item 2),
 # and verify-identity, whose residual carries units of the weights and
-# fails at 1e-250 (ROADMAP 1(b)).
+# fails at 1e-250 (ROADMAP item 5).
 SWEEP_INPUTS = {"cycle 1e-250": (cycle("1e-250"), {0}), "cycle 1": (cycle("1"), {0}),
                 "cycle 1e250": (cycle("1e250"), {0}),
                 "path 8e307": ("a b 8e307\nb c 8e307\n", {0, 2}),

@@ -180,7 +180,8 @@ class TestKnownDefects:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the spectral route's error is "
                                            "about eps times the condition number")
     def test_resistances_across_14_decades(self):
-        # omega(a, c) is 1.00000000000001e14 exactly; 99760466376730.47 today
+        # omega(a, c) is 1.00000000000001e14 exactly; today the grounded
+        # factor's screen declines and this raises RankDeficientError
         g = gs.parse_graph("a b 1\nb c 1e-14\n")
         omega = exact_omega(g)
         assert relative_error(gs.resistance_matrix(gs.build_laplacian(g)), omega) <= 1e-12

@@ -371,34 +371,28 @@ def kernel_u_matrix(rng, eigenvalues):
 
 
 class TestFrameGram:
-    """The factor hands its Q^dagger to the embedding as the frame's Gram
-    only where the frame and Q^dagger are its unit frame U and U^T U
-    scaled exactly."""
+    """The factor's frame is 2^(-e/2) V, scaled in place on first read, and
+    its Gram, ``pinv``, is what a Laplacian's embedding carries."""
 
     @staticmethod
-    def factor(unit, shift, pinv):
-        return linalg.GroundedFactor(np.ones(1), np.array(unit), shift, np.array(pinv))
+    def factor(v, shift, pinv):
+        return linalg.GroundedFactor(np.ones(1), np.array(v), shift, np.array(pinv))
 
     def test_scaled_up(self):
         f = self.factor([[0.5, 2.0**-1074]], 3, [[1.0, 2.0**-1074], [2.0**-1074, 1.0]])
         assert np.array_equal(f.frame, [[4.0, 2.0**-1071]])
-        assert f.frame_gram is f.pinv
+        assert f.frame is f._v and not f.frame.flags.writeable  # in place
 
     def test_scaled_down_in_the_normal_range(self):
         f = self.factor([[0.5, 2.0**-900]], -30, [[1.0, 2.0**-900], [2.0**-900, 1.0]])
-        assert f.frame_gram is f.pinv
-
-    @pytest.mark.parametrize("unit, pinv", [
-        ([[0.5, 2.0**-1000]], [[1.0, 0.5], [0.5, 1.0]]),  # a subnormal frame entry
-        ([[0.5, 0.25]], [[1.0, 2.0**-1050], [2.0**-1050, 1.0]]),  # one of Q^dagger
-    ])
-    def test_scaled_below_the_normal_range(self, unit, pinv):
-        assert self.factor(unit, -30, pinv).frame_gram is None
+        for _ in range(2):  # scaled once, on the first read
+            assert np.array_equal(f.frame, [[2.0**-31, 2.0**-930]])
 
     def test_a_laplacian_embedding_carries_its_pinv(self, small_corpus):
         for q in small_corpus:
-            assert q.factor.frame_gram is q.pinv
-            assert gs.embed_from_laplacian(q).gram is q.pinv
+            emb = gs.embed_from_laplacian(q)
+            assert emb.vertices is q.factor.frame
+            assert emb.pair.gram is q.pinv and emb.pair.pinv_gram is q.symmetric
 
 
 class TestCholeskyScreen:
@@ -463,8 +457,8 @@ class TestCholeskyScreen:
         q = gs.build_laplacian(random_graph(rng, n=30))
         gp = gs.canonical_gram(gs.embed_from_laplacian(q))
         assert eigh_calls == []
-        assert cholesky_calls == [(29, 29), (29, 29)]  # Q's grounded factor, then M's
-        assert np.abs(gp.pinv_gram - q.matrix).max() <= 1e-12 * np.abs(q.matrix).max()
+        assert cholesky_calls == [(29, 29)]  # Q's grounded factor, and no other
+        assert np.array_equal(gp.pinv_gram, q.matrix)
 
 
 # The Laplacian-side answers, each an array or the type and message of its

@@ -136,7 +136,7 @@ def test_quotient_verdicts_do_not_change(graphs, k):
 
 
 def test_tree_count_of_the_n1000_fixture_raises():
-    # tau is about 10^1372 here; log tau is still open (ROADMAP 1(d))
+    # tau is about 10^1372 here; log tau is still open (ROADMAP item 2)
     q = gs.build_laplacian(sized_graph(7, 0, 1000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
