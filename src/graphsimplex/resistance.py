@@ -25,10 +25,8 @@ from .errors import (
 from .graphs import LaplacianMatrix
 
 # Float64 deficits per chunk of check_metric's exact recheck: 256 KiB, so a
-# chunk stays in L2. The float32 screen's tiles hold eight times as many
-# entries (1 MiB), at least four pair rows by as many pair columns as fit.
+# chunk stays in L2.
 _SLAB_ENTRIES = 2**15
-_TILE_ROWS = 4
 
 
 def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
@@ -181,14 +179,13 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
 
     Violations smaller than the slack (relative to the max entry) are
     treated as floating-point noise. Each row (i, j) of the n^3 deficits
-    passes up to three stages, and leaves at the first that rules out a
-    deficit at the slack or at the trivial triples' maximum: an O(n^2)
-    bound from the rows' extremes after the column means are taken out,
-    then a float32 screen of the rows left open, then a float64 recheck in
-    chunks of at most ``_SLAB_ENTRIES``. The violation count, worst triple
-    and worst slack are those of the full tensor, bit for bit; a deficit
-    that overflows is -inf or +inf, the sign of the exact one. Working
-    memory is a few n x n arrays and 1 MiB of float32 tiles.
+    passes up to two stages: an O(n^2) bound from the rows' extremes after
+    the column means are taken out closes every row where it rules out a
+    deficit at the slack or at the trivial triples' maximum, and the rows
+    left open are recomputed in float64 (``_recheck``). The violation
+    count, worst triple and worst slack are those of the full tensor, bit
+    for bit; a deficit that overflows is -inf or +inf, the sign of the
+    exact one. Working memory is a few n x n arrays.
     """
     if mode not in ("plain", "sqrt"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -222,45 +219,23 @@ def check_metric(d, mode: str = "plain") -> MetricReport:
     # bound rules out a deficit >= min(worst, slack): one at or above the
     # trivial maximum may be the worst, and only one above the slack is a
     # violation. s = m 2^-e, e the exponent of max|m|, so max|s| < 1, and
-    # row (i, j) stays open while its bounds on max_k (s_ik - s_jk) reach
+    # row (i, j) stays open while its bound on max_k (s_ik - s_jk) reaches
     # s_ij + cut. The float64 deficit, scaled by 2^-e, is within 5 * 2^-53
     # of the exact s_ik - s_ij - s_jk (a subtraction never loses bits to
     # underflow; one that overflows is -inf here), and s_ij + cut rounds by
     # at most 2^-52. So a bound within delta = 2^-20 of the exact maximum,
-    # in units of 2^e, closes no row holding a deficit at the cut:
-    # - ``_mean_bounds``, in float64, is within 2^-50 of the exact bound
-    #   max_k x_ik - min_k x_jk with x = s - c. Each x_ik rounds by 2^-52
-    #   (|s_ik - c_k| < 2), the difference of two extremes by 2^-51.
-    # - ``_pair_bounds``, max_k fl32(a_ik - a_jk) with a = float32(s), is
-    #   within 2^-22: each cast is off by at most 2^-24 (a float32
-    #   subnormal, or an s that underflowed, by less) and the float32
-    #   subtraction by 2^-24 |a_ik - a_jk| <= 2^-23.
+    # in units of 2^e, closes no row holding a deficit at the cut.
+    # ``_mean_bounds``, in float64, is within 2^-50 of the exact bound
+    # max_k x_ik - min_k x_jk with x = s - c: each x_ik rounds by 2^-52
+    # (|s_ik - c_k| < 2), the difference of two extremes by 2^-51.
     if n >= 3:  # otherwise every triple is trivial
         bound = _mean_bounds(s)
         s += np.ldexp(min(worst, slack), -e) - 2.0**-20  # s_ij + cut
         open_rows = bound >= s
+        del bound, s
         np.fill_diagonal(open_rows, False)
-        del bound
-        open_rows &= _pair_bounds(m, e, open_rows) >= s
         pairs = np.flatnonzero(open_rows)  # the rows i * n + j, in C order
-        del s, open_rows
-        step = max(1, _SLAB_ENTRIES // n)
-        with np.errstate(over="ignore"):  # an overflow keeps the exact sign
-            for p0 in range(0, pairs.size, step):
-                i, j = np.divmod(pairs[p0:p0 + step], n)
-                deficit = m[i] - m[i, j][:, None]
-                deficit -= m[j]
-                rows = np.arange(i.size)
-                deficit[rows, i] = -np.inf  # trivial, counted above
-                deficit[rows, j] = -np.inf
-                top = deficit.max()
-                if top > slack:
-                    violations += int(np.count_nonzero(deficit > slack))
-                if top >= worst:
-                    r, k = divmod(int(np.argmax(deficit)), n)
-                    at = int(pairs[p0 + r]) * n + k
-                    if top > worst or at < flat:
-                        worst, flat = top, at
+        violations, worst, flat = _recheck(m, pairs, slack, violations, worst, flat)
     worst_triple = None
     if violations:
         i, j, k = np.unravel_index(flat, (n, n, n))
@@ -293,6 +268,33 @@ def _trivial_deficits(m: np.ndarray):
     yield stay, lambda i, j: (i * n + j) * n + j
 
 
+def _recheck(m: np.ndarray, pairs: np.ndarray, slack: float,
+             violations: int, worst: float, flat: int) -> tuple[int, float, int]:
+    """Add the deficits of the rows ``pairs`` (i * n + j, ascending), k
+    outside {i, j}, to the running violation count and the worst deficit
+    and its C-order tensor position, in float64 chunks of at most
+    ``_SLAB_ENTRIES`` entries."""
+    n = m.shape[0]
+    step = max(1, _SLAB_ENTRIES // n)
+    with np.errstate(over="ignore"):  # an overflow keeps the exact sign
+        for p0 in range(0, pairs.size, step):
+            i, j = np.divmod(pairs[p0:p0 + step], n)
+            deficit = m[i] - m[i, j][:, None]
+            deficit -= m[j]
+            rows = np.arange(i.size)
+            deficit[rows, i] = -np.inf  # trivial, counted by the caller
+            deficit[rows, j] = -np.inf
+            top = deficit.max()
+            if top > slack:
+                violations += int(np.count_nonzero(deficit > slack))
+            if top >= worst:
+                r, k = divmod(int(np.argmax(deficit)), n)
+                at = int(pairs[p0 + r]) * n + k
+                if top > worst or at < flat:
+                    worst, flat = top, at
+    return violations, worst, flat
+
+
 def _mean_bounds(s: np.ndarray) -> np.ndarray:
     """B[i, j] = max over k outside {i, j} of x[i, k] minus the min over the
     same k of x[j, k], with x = s - c and c the column means of s, for an
@@ -320,52 +322,4 @@ def _mean_bounds(s: np.ndarray) -> np.ndarray:
     bound[rows, big] = hi2 - lo[big]  # k = j is row i's max
     bound[small, rows] = (  # k = i is row j's min, and may be row i's max too
         np.where(big[small] == rows, hi2[small], hi[small]) - lo2)
-    return bound
-
-
-def _pair_bounds(m: np.ndarray, e: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """bound[i, j] = max over k outside {i, j} of fl32(a[i, k] - a[j, k])
-    with a = float32(m 2^-e), for an n x n m, n >= 3, on every row (i, j)
-    where the boolean ``rows`` (by default every row) or its transpose
-    holds; other rows may hold -inf, and the diagonal is left undefined.
-
-    Each unordered pair's differences are formed once, in tiles of
-    ``_TILE_ROWS`` nodes i (more where n is small enough that every j then
-    fits) by as many j, from the tile's first node on, as fit
-    ``8 * _SLAB_ENTRIES`` entries with k the slow axis: their max bounds
-    row (i, j) and the negated min row (j, i). A NaN diagonal takes k in
-    {i, j} out of both. A tile slices its j, and gathers only the j that
-    share a row with one of its nodes where that skips at least half.
-    """
-    n = m.shape[0]
-    at = np.ldexp(m.T, -e).astype(np.float32, order="C")  # at[k, i] = a[i, k]
-    np.fill_diagonal(at, np.nan)
-    bound = np.full((n, n), -np.inf, np.float32)
-    tall = max(_TILE_ROWS, 8 * _SLAB_ENTRIES // (n * n))
-    wide = max(1, 8 * _SLAB_ENTRIES // (tall * n))
-    starts = np.arange(0, n, tall)
-    need = np.arange(n) >= starts[:, None]  # need[t, j]: tile t screens j
-    if rows is not None:
-        sym = np.zeros((starts.size * tall, n), bool)
-        np.logical_or(rows, rows.T, out=sym[:n])
-        need &= sym.reshape(starts.size, tall, n).any(axis=1)
-    buf = np.empty(n * tall * min(wide, n), np.float32)
-    gathered = np.empty(n * min(wide, n), np.float32)
-    for i0, cols in zip(starts.tolist(), need):
-        i = slice(i0, i0 + tall)
-        a_i = at[:, i, None]
-        cols = np.flatnonzero(cols)
-        if 2 * cols.size >= n - i0:
-            cols = [slice(j0, j0 + wide) for j0 in range(i0, n, wide)]
-        else:
-            cols = [cols[j0:j0 + wide] for j0 in range(0, cols.size, wide)]
-        for j in cols:
-            if isinstance(j, slice):
-                a_j = at[:, None, j]
-            else:
-                a_j = np.take(at, j, axis=1, out=gathered[:n * j.size].reshape(n, -1))[:, None]
-            t = buf[:n * a_i.shape[1] * a_j.shape[2]].reshape(n, a_i.shape[1], -1)
-            np.subtract(a_i, a_j, out=t)
-            bound[i, j] = np.fmax.reduce(t, axis=0)
-            bound[j, i] = -np.fmin.reduce(t, axis=0).T
     return bound

@@ -19,6 +19,7 @@ from .config import DEFAULT
 from .errors import (
     FaceTooSmallError,
     GraphSimplexError,
+    NonFiniteEntryError,
     SubsetViolationError,
     TooSmallError,
 )
@@ -58,7 +59,8 @@ def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
     subtracted, exactly symmetric, and the diagonal rebuilt. L's
     off-diagonals and X are <= 0 (unless a leaf LU of ``linalg.lower_solve``
     swaps rows), so no link turns positive and nothing needs a clamp. A
-    factorization failure signals inconsistent input, not a tolerance issue.
+    factorization failure signals inconsistent input, not a tolerance issue;
+    an update that leaves the float range raises NonFiniteEntryError.
     """
     perm = keep + list(order)
     buf = linalg.principal_submatrix(q.symmetric, perm)
@@ -73,7 +75,10 @@ def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
                 "valid connected Laplacian"
             ) from exc
         x = linalg.lower_solve(ell, buf[k:, :k])
-        core -= x.T @ x
+        with np.errstate(over="ignore"):
+            core -= x.T @ x
+        if not np.isfinite(core).all():
+            raise NonFiniteEntryError("the reduction overflows the float range")
         _canonicalize_in_place(core)
     return core
 

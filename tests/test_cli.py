@@ -17,7 +17,7 @@ from graphsimplex import cli
 from graphsimplex.cli import main
 
 from conftest import UNRESOLVED_TREE, eigen_only
-from oracles import random_graph
+from oracles import random_graph, run_cli
 
 PATH3 = "a b 1\nb c 1\n"
 TRIANGLE = "a b 1\nb c 1\na c 1\n"
@@ -663,6 +663,15 @@ class TestRangeErrors:
             code, out, err = run(capsys, [command, "-"])
         assert_one_error_line(code, out, err)
         assert "too many decades" in err
+
+    @pytest.mark.parametrize("keep", ["n0,n1", "n1,n5"])
+    def test_kron_reduction_overflow(self, keep):
+        # the update X^T X overflows: with the overflow ignored, n1,n5 would
+        # print a link of -4.40e276 where the exact one is -2.13e195
+        doc = ("n0 n1 3.98881e+175\nn0 n2 5.57527e-184\nn2 n3 1.55358e+189\n"
+               "n1 n4 7.78832e+304\nn4 n5 2.12652e+195\nn4 n5 9.80142e-185\n"
+               "n2 n4 3.81158e+260\n")
+        assert run_cli(["reduce", "--keep", keep], doc) == (2, "")
 
     @pytest.mark.parametrize("weight", ["1e200", "1e-200"])
     def test_tree_count_out_of_range(self, capsys, monkeypatch, weight):

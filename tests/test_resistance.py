@@ -256,8 +256,11 @@ def full_tensor_metric(d, mode):
 
 
 def metric_inputs(n, rng):
-    """A resistance matrix, a random symmetric matrix, and unit distances
-    with a few planted long pairs, whose worst deficit ties on many triples."""
+    """A resistance matrix, a random symmetric matrix, unit distances with a
+    few planted long pairs, whose worst deficit ties on many triples, the
+    unit path's resistances |i - j| and the squared distances of a 3-D
+    point cloud: strict metrics in sqrt mode that the O(n^2) bound leaves
+    open on most rows."""
     if n >= 2:
         yield gs.resistance_matrix(gs.build_laplacian(random_graph(rng, n=n)))
     a = rng.uniform(0.1, 1.0, (n, n))
@@ -271,6 +274,10 @@ def metric_inputs(n, rng):
             i, k = rng.choice(n, size=2, replace=False)
             planted[i, k] = planted[k, i] = 5.0
     yield planted
+    nodes = np.arange(n, dtype=float)
+    yield np.abs(nodes[:, None] - nodes)
+    points = rng.normal(size=(n, 3))
+    yield ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
 
 
 class TestCheckMetricSlabs:
@@ -285,21 +292,27 @@ class TestCheckMetricSlabs:
                 got = (report.violations, report.worst_triple, report.worst_slack)
                 assert got == full_tensor_metric(d, mode)
 
-    def test_violations_only_in_the_last_ragged_slab(self):
-        # at 2^15 entries a slab holds 3 rows of i for n = 101, so the last
-        # slab holds the 2 rows i = 99, 100 alone; only the pair (99, 100)
-        # violates the triangle inequality, through every other node j
+    def test_violations_only_in_the_last_ragged_slab(self, monkeypatch):
+        # on the unit path |i - j| the O(n^2) bound leaves most rows open;
+        # d(99, 100) = 9 makes only the rows (99, j) and (100, j) with j in
+        # 96..98 (98 alone in sqrt mode) violate, and those come last in C
+        # order. 250 rows per chunk leave a ragged last chunk that holds them.
         n = 101
-        i_step = resistance._SLAB_ENTRIES // n // n
-        assert n % i_step == 2
-        d = np.ones((n, n))
-        np.fill_diagonal(d, 0.0)
-        d[99, 100] = d[100, 99] = 5.0
-        for mode in ("plain", "sqrt"):
-            report = gs.check_metric(d, mode)
-            got = (report.violations, report.worst_triple, report.worst_slack)
-            assert got == full_tensor_metric(d, mode)
-            assert report.violations == 2 * (n - 2)
+        monkeypatch.setattr(resistance, "_SLAB_ENTRIES", 250 * n)
+        nodes = np.arange(n, dtype=float)
+        d = np.abs(nodes[:, None] - nodes)
+        d[99, 100] = d[100, 99] = 9.0
+        calls = open_rows(monkeypatch)
+        for mode, bad in (("plain", [96, 97, 98]), ("sqrt", [98])):
+            assert_matches_full_tensor(d, mode)
+            calls.clear()
+            assert gs.check_metric(d, mode).violations == 2 * len(bad)
+            (rows,) = calls
+            pairs = np.flatnonzero(rows)
+            last = (pairs.size - 1) // 250 * 250  # the last chunk's first row
+            assert 0 < last and pairs.size % 250
+            violating = [i * n + j for i in (99, 100) for j in bad]
+            assert set(violating) <= set(pairs[last:].tolist())
 
     def test_memory_is_bounded(self):
         points = np.random.default_rng(5).normal(size=(200, 3))
@@ -384,9 +397,9 @@ def assert_matches_full_tensor(d, mode):
 
 def understated_triangle():
     """Three points whose triangle inequality fails by 2^-38 in float64 on
-    two triples, (0, 1, 2) and (2, 1, 0), while the float32 screen rounds
-    d02 down and d01 up: it bounds both rows by -7 * 2^-28 and -2^-25,
-    inside delta = 2^-20 of the trivial maximum 0 but below -2^-28."""
+    two triples, (0, 1, 2) and (2, 1, 0), while float32 rounds d02 down and
+    d01 up: a float32 bound puts both rows at -7 * 2^-28 and -2^-25, inside
+    delta = 2^-20 of the trivial maximum 0 but below -2^-28."""
     a = 0.3125 + 7 * 2.0**-28  # d01; rounds up to 0.3125 + 2^-25 in float32
     b = 0.375  # d12; exact in float32
     c = 0.6875 + 7 * 2.0**-28 + 2.0**-38  # d02; rounds down to 0.6875
@@ -462,28 +475,20 @@ class TestMetricScreen:
             for mode in ("plain", "sqrt"):
                 assert_matches_full_tensor(d, mode)
 
-    @pytest.mark.parametrize("slab", [1, 40, None])
-    @pytest.mark.parametrize("n", [3, 4, 17])
-    def test_pair_bounds_match_every_triple(self, n, slab, rng, monkeypatch):
-        if slab is not None:
-            monkeypatch.setattr(resistance, "_SLAB_ENTRIES", slab)
-        a = rng.uniform(-1.0, 1.0, (n, n)).astype(np.float32)
-        t = a[:, None, :] - a[None, :, :]  # t[i, j, k] = fl32(a[i, k] - a[j, k])
-        i, j, k = np.indices(t.shape)
-        t[(k == i) | (k == j)] = -np.inf
-        want = t.max(axis=2)
-        got = resistance._pair_bounds(a.astype(float), 0)
-        off = ~np.eye(n, dtype=bool)
-        assert np.array_equal(got[off], want[off])
-
 
 def open_rows(monkeypatch):
-    """The ``rows`` argument of every ``_pair_bounds`` call check_metric
-    makes: the rows its O(n^2) bound leaves open for the float32 screen."""
+    """The rows check_metric's O(n^2) bound leaves open, as an n x n mask
+    per call: those it hands to ``_recheck`` in float64."""
     calls = []
-    inner = resistance._pair_bounds
-    monkeypatch.setattr(resistance, "_pair_bounds",
-                        lambda m, e, rows=None: calls.append(rows.copy()) or inner(m, e, rows))
+    inner = resistance._recheck
+
+    def recheck(m, pairs, *tally):
+        rows = np.zeros(m.shape, bool)
+        rows.flat[pairs] = True
+        calls.append(rows)
+        return inner(m, pairs, *tally)
+
+    monkeypatch.setattr(resistance, "_recheck", recheck)
     return calls
 
 
@@ -509,9 +514,9 @@ def certificate_inputs(rng):
 
 
 class TestMetricCertificate:
-    """check_metric's O(n^2) bound closes rows before the float32 screen; a
-    closed row is neither screened nor rechecked, so it must hold no
-    deficit at the cut, and the report stays the full tensor's."""
+    """check_metric's O(n^2) bound closes rows before the float64 recheck; a
+    closed row is not rechecked, so it must hold no deficit at the cut, and
+    the report stays the full tensor's."""
 
     def test_closed_rows_hold_no_deficit_at_the_cut(self, rng, monkeypatch):
         calls = open_rows(monkeypatch)
@@ -558,7 +563,7 @@ class TestMetricCertificate:
         calls = open_rows(monkeypatch)
         assert gs.check_metric(omega, "sqrt").passed
         (rows,) = calls
-        assert not rows.any()  # no row to screen: _pair_bounds forms no tile
+        assert not rows.any()  # no row to recheck: no chunk is formed
 
     def test_tight_metric_screens_almost_every_row(self, monkeypatch):
         n = 200
