@@ -3,7 +3,8 @@
 Reads a weighted graph from an edge-list file (or stdin with ``-``) and
 prints matrices or check reports. Matrix output is TSV with a label header
 by default, or JSON with ``--format json``. Exit status: 0 on success,
-1 when a check subcommand finds a failure, 2 on input or usage errors.
+1 when a check subcommand finds a failure, 2 on input or usage errors,
+141 when stdout is closed before all output is written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import chain, islice
 
@@ -234,7 +236,14 @@ def main(argv=None) -> int:
     try:
         graph = _read_graph(args.input)
         q = build_laplacian(graph)
-        return _COMMANDS[args.command](args, graph, q)
+        status = _COMMANDS[args.command](args, graph, q)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: no error, the status of a tool SIGPIPE
+        # ended, and stdout on devnull so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GraphSimplexError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"graphsimplex: error: {exc}", file=sys.stderr)
         return 2

@@ -123,8 +123,11 @@ def _connected(n: int, i: np.ndarray, j: np.ndarray) -> bool:
 def parse_graph(text: str) -> WeightedGraph:
     """Parse an edge-list document.
 
-    Lines are split on ASCII whitespace; blank lines and lines starting with
-    '#' are ignored; a data line is ``<label_a> <label_b> <weight>``.
+    Lines and fields are split as ``str.splitlines`` and ``str.split``
+    split them, on Unicode line breaks and spaces too (``a\xa0b 1`` is a
+    link a-b); blank lines and lines starting with '#' are ignored; a data
+    line is ``<label_a> <label_b> <weight>``, the weight written in ASCII
+    without ``_``.
     Duplicate (a, b) lines have their weights summed (resistors in parallel:
     conductances add). Node indices follow first appearance in the input.
     """
@@ -142,6 +145,9 @@ def parse_graph(text: str) -> WeightedGraph:
             )
         a, b, wtext = parts
         try:
+            # float() would also read "1_0" as 10 and non-ASCII digits
+            if not wtext.isascii() or "_" in wtext:
+                raise ValueError(wtext)
             w = float(wtext)
         except ValueError:
             raise EdgeListSyntaxError(f"line {lineno}: bad weight {wtext!r}") from None
@@ -226,7 +232,7 @@ class LaplacianMatrix:
         its screen declines."""
         f = linalg.grounded_factor(self.symmetric)
         if f is not None:
-            for a in (f.pivots, f.pinv):
+            for a in f:
                 a.setflags(write=False)
         return f
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,21 +174,22 @@ def _lower_inverse_into(ell: np.ndarray, w: np.ndarray) -> None:
     np.matmul(w[h:, h:], -(ell[h:, :h] @ w[:h, :h]), out=w[h:, :h])
 
 
-# Rows per block of ``principal_submatrix``: a block's rows, gathered whole,
-# stay in L2 while its columns are taken from them.
+# Rows per block of ``submatrix``: a block's rows, gathered whole, stay in
+# L2 while its columns are taken from them.
 _GATHER_ROWS = 32
 
 
-def principal_submatrix(m: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    """``m[np.ix_(idx, idx)]`` as a new C-ordered array, for indices the
+def submatrix(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """``m[np.ix_(rows, cols)]`` as a new C-ordered array, for indices the
     caller has checked to lie in range: a block of whole rows at a time,
     then its columns straight into the result, so no second array of the
     result's size is made."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.empty((idx.size, idx.size), dtype=m.dtype)
-    for r0 in range(0, idx.size, _GATHER_ROWS):
-        block = m[idx[r0:r0 + _GATHER_ROWS]]
-        np.take(block, idx, axis=1, out=out[r0:r0 + block.shape[0]], mode="clip")
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    out = np.empty((rows.size, cols.size), dtype=m.dtype)
+    for r0 in range(0, rows.size, _GATHER_ROWS):
+        block = m[rows[r0:r0 + _GATHER_ROWS]]
+        np.take(block, cols, axis=1, out=out[r0:r0 + block.shape[0]], mode="clip")
     return out
 
 
@@ -244,7 +244,7 @@ def deflated_inverse(dec: EigenDecomposition, zero: int) -> np.ndarray:
     return p
 
 
-class GroundedFactor:
+class GroundedFactor(NamedTuple):
     """The certified grounded factor of a symmetric n x n matrix M with
     kernel span{u}: L L^T = 2^-e M without its last row and column, e even.
 
@@ -256,21 +256,9 @@ class GroundedFactor:
     determinant of M without its last node.
     """
 
-    def __init__(self, pivots: np.ndarray, v: np.ndarray, shift: int,
-                 pinv: np.ndarray):
-        self.pivots, self.pinv = pivots, pinv
-        self._v, self._shift = v, shift  # frame = 2^shift V
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """2^(-e/2) V, read-only, scaled in place on first use: the factor
-        holds one (n-1) x n array, and a caller that reads only ``pinv``
-        scales none."""
-        frame = self._v
-        if self._shift:
-            np.ldexp(frame, self._shift, out=frame)
-        frame.setflags(write=False)
-        return frame
+    pivots: np.ndarray
+    frame: np.ndarray
+    pinv: np.ndarray
 
 
 def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
@@ -338,25 +326,22 @@ def grounded_factor(m: np.ndarray) -> GroundedFactor | None:
     # n - 1 products, below 4^k (n - 1): p is finite wherever 2^(2k-e) (n - 1) is
     if 2 * exponent(v) - e + (n - 1).bit_length() > 1023 and not np.isfinite(p).all():
         return None
-    return GroundedFactor(pivots, v, -e // 2, p)
+    if e:  # V becomes the frame, 2^(-e/2) V, once Q^dagger is formed from it
+        np.ldexp(v, -e // 2, out=v)
+    return GroundedFactor(pivots, v, p)
 
 
 def pinv_kernel_u(a) -> np.ndarray:
-    """Pseudoinverse of a PSD matrix whose kernel is exactly span{u}.
+    """Pseudoinverse of a PSD matrix whose kernel is exactly span{u}: an
+    exactly symmetric array of the caller's own.
 
-    The grounded factor (``grounded_factor``) answers wherever its bounds
-    certify the eigen rule: exactly one eigenvalue has |l| <= t mu_max,
-    t = DEFAULT.zero_eigenvalue. Otherwise that single zero eigenvalue,
-    found by eigendecomposition, is deflated, and any further (relative)
-    zero eigenvalue raises ``RankDeficientError``.
+    The grounded factor (``grounded_factor``) of ``symmetrize(a)`` answers
+    wherever its bounds certify the eigen rule: exactly one eigenvalue has
+    |l| <= t mu_max, t = DEFAULT.zero_eigenvalue. Otherwise that single
+    zero eigenvalue, found by eigendecomposition, is deflated, and any
+    further (relative) zero eigenvalue raises ``RankDeficientError``.
     """
-    return pinv_kernel_u_symmetric(symmetrize(a))
-
-
-def pinv_kernel_u_symmetric(m: np.ndarray) -> np.ndarray:
-    """``pinv_kernel_u`` of an exactly symmetric ``m`` the library built,
-    on which ``symmetrize`` would return ``m`` itself: unchecked. A
-    non-finite entry fails the factor's bounds, and ``eigh`` refuses it."""
+    m = symmetrize(a)
     f = grounded_factor(m)
     if f is not None:
         return f.pinv

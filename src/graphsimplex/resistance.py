@@ -36,7 +36,7 @@ def effective_resistance(q: LaplacianMatrix, i: int, j: int) -> float:
     i, j = linalg.as_index(i), linalg.as_index(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"indices ({i}, {j}) out of range for n={n}")
-    return float(linalg.squared_distances(linalg.principal_submatrix(q.pinv, (i, j)))[0, 1])
+    return float(linalg.squared_distances(linalg.submatrix(q.pinv, (i, j), (i, j)))[0, 1])
 
 
 def resistance_matrix(q: LaplacianMatrix) -> np.ndarray:

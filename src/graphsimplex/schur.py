@@ -28,11 +28,11 @@ from .resistance import resistance_matrix
 from .simplex import face_gram, gram_pair_from_laplacian
 
 
-def _canonicalize(raw: np.ndarray) -> np.ndarray:
-    """Symmetrize the pseudoinverse route's raw reduction, zero the tiny
-    positive links its rounding leaves (at most ``DEFAULT.clamp`` times the
-    largest diagonal entry) and rebuild the diagonal."""
-    m = linalg.symmetric_part(raw)
+def _canonicalize(m: np.ndarray) -> np.ndarray:
+    """Zero, in place, the tiny positive links the pseudoinverse route's
+    rounding leaves in its exactly symmetric reduction ``m`` (at most
+    ``DEFAULT.clamp`` times the largest diagonal entry) and rebuild the
+    diagonal."""
     scale = max(float(np.abs(np.diag(m)).max()), np.finfo(float).tiny)
     m[(m > 0) & (m <= DEFAULT.clamp * scale)] = 0.0  # the diagonal is rebuilt
     _canonicalize_in_place(m)
@@ -49,47 +49,38 @@ def _canonicalize_in_place(m: np.ndarray) -> None:
 def _eliminate_in_order(q: LaplacianMatrix, keep: list[int],
                         order: Sequence[int]) -> np.ndarray:
     """Q reduced onto ``keep`` by eliminating the nodes of ``order``, first
-    to last; rows of the result follow ``keep``. Eliminating nothing leaves
-    Q's symmetric part, reordered.
+    to last, in an array of its own; rows of the result follow ``keep``.
+    Eliminating nothing leaves Q's symmetric part, reordered.
 
-    Q's symmetric part is permuted once into ``keep + order``. The
-    eliminated block is positive definite for any valid connected
-    Laplacian, so one Cholesky factorization L L^T, whose pivots follow
-    ``order``, eliminates it; X^T X with X = L^{-1} Q_{order, keep} is
-    subtracted, exactly symmetric, and the diagonal rebuilt. L's
-    off-diagonals and X are <= 0 (unless a leaf LU of ``linalg.lower_solve``
-    swaps rows), so no link turns positive and nothing needs a clamp. A
-    factorization failure signals inconsistent input, not a tolerance issue;
-    an update that leaves the float range raises NonFiniteEntryError.
+    Three blocks of Q's symmetric part are gathered (``linalg.submatrix``):
+    the kept one, the eliminated one and their coupling. The eliminated
+    block is positive definite for any valid connected Laplacian, so one
+    Cholesky factorization L L^T, whose pivots follow ``order``, eliminates
+    it; X^T X with X = L^{-1} Q_{order, keep} is subtracted, exactly
+    symmetric, and the diagonal rebuilt. L's off-diagonals and X are <= 0
+    (unless a leaf LU of ``linalg.lower_solve`` swaps rows), so no link
+    turns positive and nothing needs a clamp. A factorization failure
+    signals inconsistent input, not a tolerance problem; an update that
+    leaves the float range raises NonFiniteEntryError.
     """
-    perm = keep + list(order)
-    buf = linalg.principal_submatrix(q.symmetric, perm)
-    k = len(keep)
-    core = buf[:k, :k]
-    if k < len(perm):
+    s = q.symmetric
+    core = linalg.submatrix(s, keep, keep)
+    if order:
         try:
-            ell = np.linalg.cholesky(buf[k:, k:])
+            ell = np.linalg.cholesky(linalg.submatrix(s, order, order))
         except np.linalg.LinAlgError as exc:
             raise GraphSimplexError(
                 "eliminated block is not positive definite; input is not a "
                 "valid connected Laplacian"
             ) from exc
-        x = linalg.lower_solve(ell, buf[k:, :k])
+        x = linalg.lower_solve(ell, linalg.submatrix(s, order, keep))
+        del ell
         with np.errstate(over="ignore"):
             core -= x.T @ x
         if not np.isfinite(core).all():
             raise NonFiniteEntryError("the reduction overflows the float range")
         _canonicalize_in_place(core)
     return core
-
-
-def _reduction(core: np.ndarray) -> LaplacianMatrix:
-    """The reduced Laplacian around ``_eliminate_in_order``'s result,
-    copied out of the larger permuted buffer it is a view of, which is
-    then not kept."""
-    if core.base is not None and core.base.size > core.size:
-        core = core.copy()
-    return LaplacianMatrix._built(core)
 
 
 def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
@@ -108,7 +99,7 @@ def schur_complement(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix
         return q._reduction[1]
     kept = set(idx)
     complement = [i for i in range(q.n) if i not in kept]
-    reduced = _reduction(_eliminate_in_order(q, idx, complement))
+    reduced = LaplacianMatrix._built(_eliminate_in_order(q, idx, complement))
     q._reduction = (key, reduced)
     return reduced
 
@@ -122,7 +113,7 @@ def kron_reduce_single(q: LaplacianMatrix, node: int) -> LaplacianMatrix:
         raise TooSmallError("single-node elimination needs n >= 3")
     node, = linalg.check_subset([node], q.n)
     others = [i for i in range(q.n) if i != node]
-    return _reduction(_eliminate_in_order(q, others, [node]))
+    return LaplacianMatrix._built(_eliminate_in_order(q, others, [node]))
 
 
 def schur_via_pinv(q: LaplacianMatrix, keep: Sequence[int]) -> LaplacianMatrix:
@@ -207,7 +198,7 @@ def check_resistance_preservation(q: LaplacianMatrix,
         raise FaceTooSmallError("need at least 2 kept nodes")
     reduced = schur_complement(q, idx)
     omega_reduced = resistance_matrix(reduced)
-    omega_restricted = linalg.squared_distances(linalg.principal_submatrix(q.pinv, idx))
+    omega_restricted = linalg.squared_distances(linalg.submatrix(q.pinv, idx, idx))
     return PreservationReport(
         residual=float(np.abs(omega_reduced - omega_restricted).max())
     )

@@ -122,10 +122,11 @@ def canonical_gram(vertices) -> GramPair:
 
 def _centered_pair(gram: np.ndarray) -> GramPair:
     """Canonical Gram pair of the points with (uncentered) Gram matrix
-    ``gram``, an exactly symmetric, finite array of the caller's own, which
-    is centred in place: the double-centered Gram and its pseudoinverse."""
-    m = linalg.double_center_in_place(gram)
-    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u_symmetric(m))
+    ``gram``, a finite array of the caller's own, which is centred in place:
+    the double-centered Gram and its pseudoinverse. AsymmetricError where
+    ``gram`` is not symmetric (``linalg.symmetrize``)."""
+    m = linalg.double_center_in_place(linalg.symmetrize(gram))
+    return GramPair(gram=m, pinv_gram=linalg.pinv_kernel_u(m))
 
 
 def gram_pair_from_pinv(pinv_gram) -> GramPair:
@@ -295,17 +296,17 @@ def face_distance(d, v: Sequence[int]) -> np.ndarray:
     the corresponding submatrix, rows/columns in the order given."""
     m = linalg.as_square_array(d)
     idx = linalg.check_subset(v, m.shape[0])
-    return linalg.principal_submatrix(m, idx)
+    return linalg.submatrix(m, idx, idx)
 
 
 def face_gram(gp: GramPair, v: Sequence[int]) -> GramPair:
     """Canonical Gram pair of the face on ``v``: the centered submatrix
-    of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v), for the
-    exactly symmetric ``gp.gram`` of every GramPair the library builds."""
+    of the Gram matrix, M_face = (I - uu^T/v) M_VV (I - uu^T/v).
+    AsymmetricError where ``gp.gram`` is not symmetric."""
     idx = linalg.check_subset(v, gp.n)
     if len(idx) < 2:
         raise FaceTooSmallError("face Gram needs at least 2 vertices")
-    return _centered_pair(linalg.principal_submatrix(gp.gram, idx))
+    return _centered_pair(linalg.submatrix(gp.gram, idx, idx))
 
 
 @dataclass(frozen=True)

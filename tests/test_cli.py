@@ -231,6 +231,24 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # 79,800 angle lines; the reader takes one and closes the pipe
+    path = tmp_path / "path400.el"
+    path.write_text("".join(f"{k} {k + 1} 1\n" for k in range(399)))
+    src = os.path.dirname(os.path.dirname(graphsimplex.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphsimplex.cli", "angles", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == b"0\t1\t-0.707106781187\tacute\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 QUAD = 'a b 2\nb x"y 0.5\nx"y é 3\na é 1\nb é 0.25\n'
 
 ANGLES_GOLDEN = {
@@ -886,6 +904,9 @@ class Recorder:
 
     def write(self, s):
         self.writes.append(s)
+
+    def flush(self):
+        pass
 
 
 def edge_list(g):

@@ -71,6 +71,9 @@ class TestParseGraph:
         ("a b 0", NonPositiveWeightError),
         ("a b -1", NonPositiveWeightError),
         ("a b inf", NonPositiveWeightError),
+        ("a b 1_0", EdgeListSyntaxError),  # float() reads 10
+        ("a b \u0661", EdgeListSyntaxError),  # Arabic-Indic one
+        ("a b \uff11", EdgeListSyntaxError),  # fullwidth one
         ("a a 1", SelfLoopError),
         ("", TooFewNodesError),
     ])

@@ -405,6 +405,31 @@ class TestForwardSubstitution:
         assert all(rows <= linalg._LEAF for rows, _ in solve_calls)
 
 
+class TestGathers:
+    def test_no_reduction_gathers_the_whole_matrix(self, monkeypatch):
+        # each reduction gathers its kept, eliminated and coupling blocks,
+        # never Q permuted whole
+        rng = np.random.default_rng(60)
+        q = gs.build_laplacian(random_graph(rng, n=60))
+        v = rng.permutation(60)[:30].tolist()
+        shapes = []
+        gather = linalg.submatrix
+
+        def recording(m, rows, cols):
+            out = gather(m, rows, cols)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(linalg, "submatrix", recording)
+        gs.schur_complement(q, v)
+        assert shapes == [(30, 30), (30, 30), (30, 30)]
+        for reduce in (lambda: gs.kron_reduce_single(q, 7),
+                       lambda: gs.check_quotient(q, v, v[:10], seed=1)):
+            shapes.clear()
+            reduce()
+            assert shapes and (60, 60) not in shapes
+
+
 class TestKeptReduction:
     @pytest.fixture
     def graph(self):

@@ -382,6 +382,15 @@ class TestFaceGram:
         with pytest.raises(FaceTooSmallError):
             gs.face_gram(gp, [0])
 
+    def test_asymmetric_gram_is_refused_as_pinv_kernel_u_refuses_it(self):
+        gp = gs.gram_pair_from_laplacian(gs.build_laplacian(complete_graph(4)))
+        g = np.array(gp.gram)
+        g[0, 1] += 1e-3
+        with pytest.raises(AsymmetricError):
+            gs.pinv_kernel_u(g)
+        with pytest.raises(AsymmetricError):
+            gs.face_gram(gs.GramPair(gram=g, pinv_gram=gp.pinv_gram), [0, 1, 2])
+
 
 class TestCircumsphere:
     def test_single_edge(self):
